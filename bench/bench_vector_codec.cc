@@ -8,6 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <vector>
+
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
@@ -156,7 +160,56 @@ void BM_CodecTlvDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_CodecTlvDecode);
 
+/// Console output as usual, plus one bench_util JSON row per run under
+/// --json (n = iterations, wall_ms = real time per iteration).
+class JsonRowReporter : public benchmark::ConsoleReporter {
+ public:
+  // No color: escape codes would prefix the JSON rows.
+  explicit JsonRowReporter(const bench::BenchOptions& options)
+      : ConsoleReporter(OO_Tabular), options_(options) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    ConsoleReporter::ReportRuns(runs);
+    for (const Run& run : runs) {
+      const double per_iter_ms = run.GetAdjustedRealTime() * 1000.0 /
+                                 benchmark::GetTimeUnitMultiplier(run.time_unit);
+      bench::EmitJson(options_, run.benchmark_name().c_str(),
+                      static_cast<uint64_t>(run.iterations), per_iter_ms, 0);
+    }
+  }
+
+ private:
+  bench::BenchOptions options_;
+};
+
 }  // namespace
 }  // namespace mds
 
-BENCHMARK_MAIN();
+/// The repo-wide bench flags (--quick, --json, --n=) are consumed here,
+/// before google-benchmark sees argv: it rejects flags it does not know.
+/// --quick shortens every benchmark's minimum run time; --n= is accepted
+/// and ignored (the table size is fixed).
+int main(int argc, char** argv) {
+  const mds::bench::BenchOptions options =
+      mds::bench::BenchOptions::Parse(argc, argv);
+  std::vector<char*> args = {argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0 ||
+        std::strcmp(argv[i], "--json") == 0 ||
+        std::strncmp(argv[i], "--n=", 4) == 0) {
+      continue;
+    }
+    args.push_back(argv[i]);
+  }
+  char quick_min_time[] = "--benchmark_min_time=0.01";
+  if (options.quick) args.push_back(quick_min_time);
+  int args_count = static_cast<int>(args.size());
+  benchmark::Initialize(&args_count, args.data());
+  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
+    return 1;
+  }
+  mds::JsonRowReporter reporter(options);
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  return 0;
+}

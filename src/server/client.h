@@ -81,6 +81,9 @@ class QueryClient {
     bool draining = false;
     uint64_t served_rows = 0;
     uint32_t dim = 0;
+    /// Tight box around every served row; dim 0 when the server did not
+    /// report one (an older mdsd).
+    Box bounds;
   };
 
   /// Connects to an mdsd instance (numeric IPv4 host).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <random>
 #include <utility>
 
@@ -13,6 +14,10 @@ namespace {
 
 using protocol::MessageHeader;
 using protocol::MessageType;
+
+/// chosen_path of a box-like reply no shard executed: every shard was
+/// pruned (docs/PROTOCOL.md).
+constexpr char kPrunedPath[] = "pruned";
 
 int64_t SteadyNowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -44,6 +49,23 @@ bool RetryableBackendFailure(const Status& status) {
 bool ExhaustionFailure(const Status& status) {
   return RetryableBackendFailure(status) ||
          status.code() == StatusCode::kDeadlineExceeded;
+}
+
+/// Smallest box covering both; an unknown extent (dim 0) absorbs the
+/// other, since it may cover anything.
+Box BoundsUnion(const Box& a, const Box& b) {
+  if (a.dim() == 0 || b.dim() != a.dim()) return Box();
+  Box out = a;
+  out.Extend(b.lo().data());
+  out.Extend(b.hi().data());
+  return out;
+}
+
+/// What a coordinator reports as its own bounds: the union over shards.
+Box FleetBounds(const std::vector<Box>& shard_bounds) {
+  Box out = shard_bounds.empty() ? Box() : shard_bounds[0];
+  for (const Box& b : shard_bounds) out = BoundsUnion(out, b);
+  return out;
 }
 
 protocol::QueryReply FromClientResult(QueryClient::QueryResult result) {
@@ -252,6 +274,9 @@ class Coordinator::FanoutPool {
 /// thread-safety note).
 struct Coordinator::ClientConn {
   Socket sock;
+  /// Set by the handler thread as its last act, so the accept thread can
+  /// join it without blocking for long.
+  std::atomic<bool> done{false};
 };
 
 // --- lifecycle -------------------------------------------------------------
@@ -297,6 +322,7 @@ Status Coordinator::Start() {
   probe.deadline_ms = config_.sub_deadline_ms;
   served_rows_ = 0;
   dim_ = 0;
+  ShardBounds bounds(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard* shard = shards_[s].get();
     Status last = Status::Unavailable("no replica probed");
@@ -321,6 +347,7 @@ Status Coordinator::Start() {
             "Coordinator: shard " + std::to_string(s) + " serves dimension " +
             std::to_string(health->dim) + ", expected " + std::to_string(dim_));
       }
+      bounds[s] = ServedBounds(std::move(health->bounds));
       ReleaseClient(replica.get(), std::move(*client));
       probed = true;
       break;
@@ -331,6 +358,7 @@ Status Coordinator::Start() {
     }
     served_rows_ += shard->served_rows;
   }
+  PublishBounds(std::move(bounds));
 
   unsigned fanout = config_.fanout_threads;
   if (fanout == 0) {
@@ -371,10 +399,8 @@ void Coordinator::Shutdown() {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (auto& conn : conns_) conn->sock.ShutdownRead();
   }
-  for (std::thread& t : handler_threads_) {
-    if (t.joinable()) t.join();
-  }
-  handler_threads_.clear();
+  for (Handler& h : handlers_) h.thread.join();
+  handlers_.clear();
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.clear();
@@ -393,6 +419,7 @@ void Coordinator::Shutdown() {
 
 void Coordinator::AcceptLoop() {
   while (!stop_accept_.load()) {
+    ReapHandlers();
     auto sock = listener_.Accept(IoDeadline::After(250));
     if (!sock.ok()) continue;  // deadline tick or listener shutdown
     counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
@@ -408,11 +435,22 @@ void Coordinator::AcceptLoop() {
     (void)sock->SetNoDelay();
     auto conn = std::make_shared<ClientConn>();
     conn->sock = std::move(*sock);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(conn);
-    handler_threads_.emplace_back(
-        [this, conn]() mutable { HandleConnection(std::move(conn)); });
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      conns_.push_back(conn);
+    }
+    handlers_.push_back(
+        {std::thread([this, conn] { HandleConnection(conn); }),
+         conn});
   }
+}
+
+void Coordinator::ReapHandlers() {
+  auto finished = std::partition(
+      handlers_.begin(), handlers_.end(),
+      [](const Handler& h) { return !h.conn->done.load(); });
+  for (auto it = finished; it != handlers_.end(); ++it) it->thread.join();
+  handlers_.erase(finished, handlers_.end());
 }
 
 void Coordinator::HandleConnection(std::shared_ptr<ClientConn> conn) {
@@ -444,6 +482,7 @@ void Coordinator::HandleConnection(std::shared_ptr<ClientConn> conn) {
     conns_.erase(std::remove(conns_.begin(), conns_.end(), conn), conns_.end());
   }
   conn->sock.Close();
+  conn->done.store(true);
 }
 
 bool Coordinator::HandleFrame(ClientConn* conn, std::vector<uint8_t> payload) {
@@ -507,6 +546,7 @@ void Coordinator::HandleHealth(ClientConn* conn, const MessageHeader& header) {
   reply.draining = draining() ? 1 : 0;
   reply.served_rows = served_rows_;
   reply.dim = dim_;
+  reply.bounds = FleetBounds(*LoadBounds());
   const uint32_t flags = reply.draining ? protocol::kFlagDraining : 0;
   WriteReplyFrame(conn, header, Status::OK(), flags, [&](WireWriter* w) {
     protocol::EncodeHealthReply(reply, w);
@@ -546,9 +586,17 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
   // (reloads are rare, and a dataset build would hold a pooled connection
   // for its whole duration). All replicas must succeed: the same refusal
   // taxonomy as the Start() probe, so a half-swapped fleet never serves.
+  //
+  // Pruning must never skip a shard that holds a qualifying row, and a
+  // replica starts serving its new generation before its reply arrives.
+  // So as each replica answers, the published bounds of its shard widen to
+  // cover old and new; only once every replica has answered do they narrow
+  // to the union over the new generation's replicas. A failed broadcast
+  // leaves the widened bounds in place.
   protocol::ReloadReply merged;
   merged.old_epoch = UINT64_MAX;
   merged.new_epoch = UINT64_MAX;
+  ShardBounds next_bounds(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard* shard = shards_[s].get();
     uint64_t shard_rows = 0;
@@ -567,6 +615,12 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
           merged.old_epoch = std::min(merged.old_epoch, reply->old_epoch);
           merged.new_epoch = std::min(merged.new_epoch, reply->new_epoch);
           shard_rows = reply->served_rows;
+          const Box reported = ServedBounds(std::move(reply->bounds));
+          next_bounds[s] =
+              i == 0 ? reported : BoundsUnion(next_bounds[s], reported);
+          ShardBounds widened = *LoadBounds();
+          widened[s] = BoundsUnion(widened[s], reported);
+          PublishBounds(std::move(widened));
         }
       }
       if (!failed.ok()) {
@@ -582,6 +636,8 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
     merged.served_rows += shard_rows;
   }
   served_rows_.store(merged.served_rows);
+  merged.bounds = FleetBounds(next_bounds);
+  PublishBounds(std::move(next_bounds));
 
   WriteReplyFrame(conn, header, Status::OK(), 0, [&](WireWriter* w) {
     protocol::EncodeReloadReply(merged, w);
@@ -745,89 +801,94 @@ Status Coordinator::ScatterGather(
   // stack-owned.
   auto shared_req = std::make_shared<const SubRequest>(req);
   auto scatter = std::make_shared<Scatter>();
-  scatter->calls.resize(shards_.size());
+  const size_t num_shards = shards_.size();
+  scatter->calls.resize(num_shards);
 
   // Per-shard kNN clamp: a shard cannot answer a k beyond its own rows.
-  std::vector<uint32_t> shard_k(shards_.size(), req.k);
+  std::vector<uint32_t> shard_k(num_shards, req.k);
   if (req.type == MessageType::kKnn) {
-    for (size_t s = 0; s < shards_.size(); ++s) {
+    for (size_t s = 0; s < num_shards; ++s) {
       shard_k[s] = static_cast<uint32_t>(
           std::min<uint64_t>(req.k, shards_[s]->served_rows));
     }
   }
 
-  const auto now = std::chrono::steady_clock::now();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    ShardCall& call = scatter->calls[s];
-    call.outstanding = 1;
-    std::chrono::microseconds delay{0};
-    call.hedge_possible = HedgeDelay(*shards_[s], &delay);
-    if (call.hedge_possible) call.hedge_at = now + delay;
-    fanout_->Submit([this, s, shared_req, k = shard_k[s], scatter] {
-      RunAttempt(s, /*replica_offset=*/0, shared_req, k, scatter, s,
-                 /*is_hedge=*/false);
-    });
+  // Which shards get a leg. A shard that reported no bounds has distance 0
+  // and meets every box, so it is never pruned. For kNN this is phase 1:
+  // the shard(s) whose box is nearest the probe.
+  const bool prune =
+      !req.options.force_full_scan && !req.options.force_index;
+  std::vector<bool> leg(num_shards, true);
+  std::vector<double> box_d2(num_shards, 0.0);
+  if (prune) {
+    const std::shared_ptr<const ShardBounds> bounds = LoadBounds();
+    if (req.type == MessageType::kKnn) {
+      double nearest = std::numeric_limits<double>::infinity();
+      for (size_t s = 0; s < num_shards; ++s) {
+        const Box& b = (*bounds)[s];
+        box_d2[s] = b.dim() == 0 ? 0.0 : b.MinSquaredDistance(req.point.data());
+        nearest = std::min(nearest, box_d2[s]);
+      }
+      for (size_t s = 0; s < num_shards; ++s) leg[s] = box_d2[s] == nearest;
+    } else {
+      const Box query(req.lo, req.hi);
+      for (size_t s = 0; s < num_shards; ++s) {
+        const Box& b = (*bounds)[s];
+        leg[s] = b.dim() == 0 || b.Intersects(query);
+      }
+    }
+  }
+  std::vector<size_t> first;
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (leg[s]) first.push_back(s);
   }
 
-  // Gather, firing hedges as their delays expire. Attempts are bounded by
-  // the sub-request deadline (plus the client's exchange slack), so every
-  // call completes in bounded time.
   std::vector<protocol::QueryReply> query_replies;
   std::vector<std::vector<protocol::WireNeighbor>> knn_replies;
   Status failure = Status::OK();
   bool all_failures_exhaustion = true;
   {
     std::unique_lock<std::mutex> lock(scatter->mu);
-    while (scatter->done_count < scatter->calls.size()) {
-      // Earliest pending hedge deadline among live calls, if any.
-      bool have_hedge = false;
-      std::chrono::steady_clock::time_point next{};
-      for (const ShardCall& call : scatter->calls) {
-        if (call.done || call.hedged || !call.hedge_possible) continue;
-        if (!have_hedge || call.hedge_at < next) {
-          next = call.hedge_at;
-          have_hedge = true;
+    LaunchLegs(first, shared_req, shard_k, scatter);
+    AwaitLegs(first.size(), shared_req, shard_k, scatter, &lock);
+
+    if (prune && req.type == MessageType::kKnn && first.size() < num_shards) {
+      // Phase 2: a shard can hold one of the k nearest only if its box
+      // distance is <= the k-th distance found so far. Box and row
+      // distances round the same way (DESIGN.md), so no row of a shard
+      // past the bound computes closer than its box; ties are visited so
+      // the (d2, id) order still decides between shards.
+      std::vector<std::vector<protocol::WireNeighbor>> found;
+      bool visit_all = false;
+      for (size_t s : first) {
+        if (!scatter->calls[s].status.ok()) visit_all = true;
+        found.push_back(scatter->calls[s].reply.neighbors);
+      }
+      const auto merged_first = MergeKnnNeighbors(found, req.k);
+      if (merged_first.size() < req.k) visit_all = true;
+      std::vector<size_t> second;
+      for (size_t s = 0; s < num_shards; ++s) {
+        if (leg[s]) continue;
+        if (visit_all || !(box_d2[s] > merged_first.back().squared_distance)) {
+          leg[s] = true;
+          second.push_back(s);
         }
       }
-      if (!have_hedge) {
-        scatter->cv.wait(lock);
-        continue;
-      }
-      if (scatter->cv.wait_until(lock, next) == std::cv_status::timeout) {
-        const auto fire_now = std::chrono::steady_clock::now();
-        for (size_t s = 0; s < scatter->calls.size(); ++s) {
-          ShardCall& call = scatter->calls[s];
-          if (call.done || call.hedged || !call.hedge_possible) continue;
-          if (call.hedge_at > fire_now) continue;
-          // A hedge is an extra leg like any failover: it needs deadline
-          // budget left to be useful and a retry token to be affordable.
-          uint32_t leg_deadline = 0;
-          if (!LegDeadline(req, &leg_deadline)) {
-            call.hedge_possible = false;
-            continue;
-          }
-          if (!SpendRetryToken(shards_[s].get())) {
-            shards_[s]->retries_denied.fetch_add(1, std::memory_order_relaxed);
-            call.hedge_possible = false;
-            continue;
-          }
-          call.hedged = true;
-          ++call.outstanding;
-          shards_[s]->hedges_fired.fetch_add(1, std::memory_order_relaxed);
-          fanout_->Submit([this, s, shared_req, k = shard_k[s], scatter] {
-            RunAttempt(s, /*replica_offset=*/1, shared_req, k, scatter, s,
-                       /*is_hedge=*/true);
-          });
-        }
-      }
+      LaunchLegs(second, shared_req, shard_k, scatter);
+      AwaitLegs(first.size() + second.size(), shared_req, shard_k, scatter,
+                &lock);
     }
 
     // Extract under the lock: a losing late attempt may still touch its
     // call's bookkeeping fields.
-    outcome->total = static_cast<uint32_t>(scatter->calls.size());
-    for (size_t s = 0; s < scatter->calls.size(); ++s) {
+    outcome->total = static_cast<uint32_t>(num_shards);
+    for (size_t s = 0; s < num_shards; ++s) {
       ShardCall& call = scatter->calls[s];
-      if (!call.status.ok()) {
+      if (!leg[s]) {
+        // Pruned: the shard's bounds prove it holds no qualifying row, so
+        // it is answered (with nothing), not missing.
+        shards_[s]->pruned.fetch_add(1, std::memory_order_relaxed);
+      } else if (!call.status.ok()) {
         // A failed shard fails the request unless the client opted into a
         // partial answer (below) — half a scatter is not a correct answer
         // to any query type. Prefer a retryable failure so clients treat
@@ -838,14 +899,13 @@ Status Coordinator::ScatterGather(
         }
         if (!ExhaustionFailure(call.status)) all_failures_exhaustion = false;
         continue;
-      }
-      ++outcome->answered;
-      if (s < 64) outcome->mask |= 1ull << s;
-      if (req.type == MessageType::kKnn) {
+      } else if (req.type == MessageType::kKnn) {
         knn_replies.push_back(std::move(call.reply.neighbors));
       } else {
         query_replies.push_back(std::move(call.reply.query));
       }
+      ++outcome->answered;
+      if (s < 64) outcome->mask |= 1ull << s;
     }
   }
   if (!failure.ok()) {
@@ -866,15 +926,89 @@ Status Coordinator::ScatterGather(
     *neighbors = MergeKnnNeighbors(knn_replies, req.k);
     return Status::OK();
   }
+  const bool executed = !query_replies.empty();
   const uint64_t limit =
       req.type == MessageType::kTableSample ? req.n : req.limit;
   *merged = MergeQueryReplies(std::move(query_replies), limit);
+  if (!executed) merged->chosen_path = kPrunedPath;
   if (req.type == MessageType::kTableSample) {
     // A single server's sample reply has row_count == returned rows (the
     // TOP(n) cuts sampling short); keep that invariant for the merge.
     merged->row_count = merged->objids.size();
   }
   return Status::OK();
+}
+
+void Coordinator::LaunchLegs(const std::vector<size_t>& shards,
+                             const std::shared_ptr<const SubRequest>& req,
+                             const std::vector<uint32_t>& shard_k,
+                             const std::shared_ptr<Scatter>& scatter) {
+  const auto now = std::chrono::steady_clock::now();
+  for (size_t s : shards) {
+    ShardCall& call = scatter->calls[s];
+    call.outstanding = 1;
+    std::chrono::microseconds delay{0};
+    call.hedge_possible = HedgeDelay(*shards_[s], &delay);
+    if (call.hedge_possible) call.hedge_at = now + delay;
+    fanout_->Submit([this, s, req, k = shard_k[s], scatter] {
+      RunAttempt(s, /*replica_offset=*/0, req, k, scatter, s,
+                 /*is_hedge=*/false);
+    });
+  }
+}
+
+void Coordinator::AwaitLegs(size_t expected,
+                            const std::shared_ptr<const SubRequest>& req,
+                            const std::vector<uint32_t>& shard_k,
+                            const std::shared_ptr<Scatter>& scatter,
+                            std::unique_lock<std::mutex>* lock) {
+  // Attempts are bounded by the sub-request deadline (plus the client's
+  // exchange slack), so every launched call completes in bounded time.
+  // Calls never launched have hedge_possible == false and are skipped.
+  while (scatter->done_count < expected) {
+    // Earliest pending hedge deadline among live calls, if any.
+    bool have_hedge = false;
+    std::chrono::steady_clock::time_point next{};
+    for (const ShardCall& call : scatter->calls) {
+      if (call.done || call.hedged || !call.hedge_possible) continue;
+      if (!have_hedge || call.hedge_at < next) {
+        next = call.hedge_at;
+        have_hedge = true;
+      }
+    }
+    if (!have_hedge) {
+      scatter->cv.wait(*lock);
+      continue;
+    }
+    if (scatter->cv.wait_until(*lock, next) != std::cv_status::timeout) {
+      continue;
+    }
+    const auto fire_now = std::chrono::steady_clock::now();
+    for (size_t s = 0; s < scatter->calls.size(); ++s) {
+      ShardCall& call = scatter->calls[s];
+      if (call.done || call.hedged || !call.hedge_possible) continue;
+      if (call.hedge_at > fire_now) continue;
+      // A hedge is an extra leg like any failover: it needs deadline
+      // budget left to be useful and a retry token to be affordable.
+      uint32_t leg_deadline = 0;
+      if (!LegDeadline(*req, &leg_deadline)) {
+        call.hedge_possible = false;
+        continue;
+      }
+      if (!SpendRetryToken(shards_[s].get())) {
+        shards_[s]->retries_denied.fetch_add(1, std::memory_order_relaxed);
+        call.hedge_possible = false;
+        continue;
+      }
+      call.hedged = true;
+      ++call.outstanding;
+      shards_[s]->hedges_fired.fetch_add(1, std::memory_order_relaxed);
+      fanout_->Submit([this, s, req, k = shard_k[s], scatter] {
+        RunAttempt(s, /*replica_offset=*/1, req, k, scatter, s,
+                   /*is_hedge=*/true);
+      });
+    }
+  }
 }
 
 void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
@@ -1331,6 +1465,7 @@ protocol::ServerStatsSnapshot Coordinator::Stats() const {
     entry.retries_denied = shard->retries_denied.load(std::memory_order_relaxed);
     entry.breaker_short_circuits =
         shard->breaker_short_circuits.load(std::memory_order_relaxed);
+    entry.pruned = shard->pruned.load(std::memory_order_relaxed);
     const Histogram::Snapshot snap = shard->latency_us.TakeSnapshot();
     entry.p50_us = snap.ValueAtPercentile(50);
     entry.p99_us = snap.ValueAtPercentile(99);

@@ -16,6 +16,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/socket.h"
+#include "geom/box.h"
 #include "server/client.h"
 #include "server/protocol.h"
 
@@ -135,23 +136,39 @@ protocol::QueryReply MergeQueryReplies(
 /// connections, merging the replies.
 ///
 /// Routing and merge semantics (DESIGN.md "Scale-out"):
-///  - kPointCount / kBoxQuery: scatter to every shard unchanged (the limit
-///    included — each shard's contribution to a TOP(limit) is at most
-///    limit rows); counts sum, objids concatenate in shard order.
+///  - kPointCount / kBoxQuery: scatter to every shard whose bounds meet the
+///    box, unchanged (the limit included — each shard's contribution to a
+///    TOP(limit) is at most limit rows); counts sum, objids concatenate in
+///    shard order.
 ///  - kKnn: per-shard k_i = min(k, shard rows); replies k-way merge by
 ///    (squared_distance, id). k > total served rows is InvalidArgument,
-///    exactly like a single server.
-///  - kTableSample: scatter unchanged, concatenate, truncate to n. Page
+///    exactly like a single server. Shards are visited nearest box first
+///    (two phases, below).
+///  - kTableSample: scatter like kPointCount, concatenate, truncate to n. Page
 ///    sampling is physical-layout-dependent, so the sampled rows match a
 ///    single server's distribution and determinism (same seed => same
 ///    reply through the same topology) but not its exact row set.
-///  - kHealth / kStats: answered by the coordinator itself; stats carry
-///    per-shard routing counters (ShardStatsEntry).
+///  - kHealth / kStats: answered by the coordinator itself (Health's
+///    bounds are the union of the shard bounds); stats carry per-shard
+///    routing counters (ShardStatsEntry).
 ///  - kReload: broadcast to EVERY replica of EVERY shard (a fleet where
 ///    only some replicas swapped would answer the same query differently
 ///    depending on routing); all must succeed or the reload fails with
 ///    the first refusal. The merged reply carries the min old/new epochs
 ///    over the fleet and the summed per-shard served_rows.
+///
+/// Shard pruning: every shard is one kd subtree, and its mdsd reports the
+/// subtree's tight bounding box on the Health (Start probe) and Reload
+/// replies. A box-like request skips each shard whose box misses the query
+/// box — the paper's §3.2 inside/outside/partial test, applied to shard
+/// roots. A kNN request first queries the shard(s) at the least box
+/// distance from the probe, then each remaining shard whose box distance
+/// is <= the merged k-th squared distance (all remaining shards when the
+/// first phase returned fewer than k neighbors or failed). A shard without
+/// reported bounds is never pruned, nor is any shard for a request with a
+/// planner hint (hinted replies are diagnostics of a real execution). A
+/// pruned shard counts as answered in the reply's shard coverage and in
+/// its ShardStatsEntry::pruned counter, not in requests.
 ///
 /// Failover: replicas are tried in preference order; an attempt that
 /// fails with a retryable transport-or-shed status (kUnavailable, kIOError,
@@ -174,7 +191,9 @@ protocol::QueryReply MergeQueryReplies(
 /// Threading model: one blocking accept thread plus one handler thread
 /// per client connection (the coordinator holds no dataset and does no
 /// engine work — its per-connection state is one stack, and a handler
-/// spends its life blocked on the scatter anyway); sub-requests run on a
+/// spends its life blocked on the scatter anyway); the accept thread joins
+/// handlers whose connection has closed on every pass, so churn leaves no
+/// exited-but-unjoined thread stacks behind. Sub-requests run on a
 /// shared fan-out thread pool so one request's shards proceed in
 /// parallel. Graceful drain mirrors mdsd: RequestDrain() sheds new query
 /// requests with kUnavailable + kFlagDraining while admitted fan-outs
@@ -189,8 +208,9 @@ class Coordinator {
   Coordinator& operator=(const Coordinator&) = delete;
 
   /// Probes every shard (first reachable replica wins), validates that
-  /// dimensions agree across shards, binds the port and starts the accept
-  /// thread. Fails if any shard has no reachable replica.
+  /// dimensions agree across shards, records each shard's bounds for
+  /// pruning, binds the port and starts the accept thread. Fails if any
+  /// shard has no reachable replica.
   Status Start();
 
   /// Bound port (valid after Start).
@@ -249,6 +269,7 @@ class Coordinator {
     std::atomic<uint64_t> hedges_won{0};
     std::atomic<uint64_t> retries_denied{0};
     std::atomic<uint64_t> breaker_short_circuits{0};
+    std::atomic<uint64_t> pruned{0};
     std::atomic<int64_t> retry_budget_milli{0};  // filled by the ctor
     Histogram latency_us;  // successful sub-request round trips
   };
@@ -311,7 +332,15 @@ class Coordinator {
   class FanoutPool;
   struct ClientConn;
 
+  /// A client connection's handler thread, joined once `conn->done`.
+  struct Handler {
+    std::thread thread;
+    std::shared_ptr<ClientConn> conn;
+  };
+
   void AcceptLoop();
+  /// Joins handlers whose connection has closed (accept thread only).
+  void ReapHandlers();
   void HandleConnection(std::shared_ptr<ClientConn> conn);
   /// Handles one decoded request frame; returns false when the connection
   /// must close (protocol violation).
@@ -319,7 +348,8 @@ class Coordinator {
   void HandleHealth(ClientConn* conn, const protocol::MessageHeader& header);
   void HandleStats(ClientConn* conn, const protocol::MessageHeader& header);
   /// Broadcasts a decoded kReload to every replica of every shard; on
-  /// success re-stamps the per-shard and total served_rows.
+  /// success re-stamps the per-shard and total served_rows and the shard
+  /// bounds (widened while the broadcast runs).
   void HandleReload(ClientConn* conn, const protocol::MessageHeader& header,
                     const protocol::ReloadRequest& request,
                     uint32_t deadline_ms);
@@ -349,6 +379,35 @@ class Coordinator {
   Status ScatterGather(const SubRequest& req, protocol::QueryReply* merged,
                        std::vector<protocol::WireNeighbor>* neighbors,
                        ScatterOutcome* outcome);
+
+  /// Submits the primary attempt of every shard in `shards` (caller holds
+  /// scatter->mu).
+  void LaunchLegs(const std::vector<size_t>& shards,
+                  const std::shared_ptr<const SubRequest>& req,
+                  const std::vector<uint32_t>& shard_k,
+                  const std::shared_ptr<Scatter>& scatter);
+  /// Waits under `lock` until `expected` calls are done, firing hedges as
+  /// their delays expire.
+  void AwaitLegs(size_t expected, const std::shared_ptr<const SubRequest>& req,
+                 const std::vector<uint32_t>& shard_k,
+                 const std::shared_ptr<Scatter>& scatter,
+                 std::unique_lock<std::mutex>* lock);
+
+  /// Per-shard bounding boxes (dim 0 = not reported, never pruned),
+  /// replaced as a whole so a handler reads one consistent set.
+  using ShardBounds = std::vector<Box>;
+  std::shared_ptr<const ShardBounds> LoadBounds() const {
+    return bounds_.load(std::memory_order_acquire);
+  }
+  void PublishBounds(ShardBounds bounds) {
+    bounds_.store(std::make_shared<const ShardBounds>(std::move(bounds)),
+                  std::memory_order_release);
+  }
+  /// A backend's reported bounds, or unknown (dim 0) when they are not in
+  /// the served dimension: queries are tested against them axis by axis.
+  Box ServedBounds(Box reported) const {
+    return reported.dim() == dim_ ? std::move(reported) : Box();
+  }
 
   /// One attempt: walk the shard's replicas starting at replica_offset,
   /// failing over on retryable errors while the deadline and retry
@@ -409,6 +468,8 @@ class Coordinator {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> served_rows_{0};
   uint32_t dim_ = 0;
+  /// Written by Start() and by reload broadcasts (under reload_mu_).
+  std::atomic<std::shared_ptr<const ShardBounds>> bounds_;
   /// Serializes whole-fleet reload broadcasts (mirrors QueryServer's
   /// per-server reload_mu_).
   std::mutex reload_mu_;
@@ -425,7 +486,8 @@ class Coordinator {
   // Live client connections, so Shutdown can unblock their read loops.
   mutable std::mutex conns_mu_;
   std::vector<std::shared_ptr<ClientConn>> conns_;
-  std::vector<std::thread> handler_threads_;
+  /// Touched only by the accept thread, and by Shutdown after joining it.
+  std::vector<Handler> handlers_;
 
   std::atomic<size_t> in_flight_{0};
 

@@ -198,6 +198,27 @@ void DecodeShardCoverage(WireReader* r, uint32_t* answered, uint32_t* total,
   *mask = r->GetU64();
 }
 
+/// The optional bounds tail on HealthReply and ReloadReply: lo then hi as
+/// coordinate vectors, written only when bounds are known. Decoders detect
+/// it by remaining bytes, so a reply from an older encoder decodes as "no
+/// bounds".
+void EncodeBoundsTail(const Box& bounds, WireWriter* w) {
+  if (bounds.dim() == 0) return;
+  EncodeCoords(bounds.lo(), w);
+  EncodeCoords(bounds.hi(), w);
+}
+
+Status DecodeBoundsTail(WireReader* r, Box* bounds) {
+  *bounds = Box();
+  if (!r->ok() || r->remaining() == 0) return r->status();
+  std::vector<double> lo, hi;
+  MDS_RETURN_NOT_OK(DecodeCoords(r, &lo));
+  MDS_RETURN_NOT_OK(DecodeCoords(r, &hi));
+  MDS_RETURN_NOT_OK(ValidateBoxBounds(lo, hi));
+  *bounds = Box(std::move(lo), std::move(hi));
+  return Status::OK();
+}
+
 }  // namespace
 
 void EncodeQueryReply(const QueryReply& reply, WireWriter* w) {
@@ -293,6 +314,7 @@ void EncodeServerStats(const ServerStatsSnapshot& stats, WireWriter* w) {
   w->PutU64(stats.slab_recycles);
   w->PutU64(stats.slab_bytes_in_use);
   w->PutU64(stats.reply_tail_copies);
+  for (const ShardStatsEntry& s : stats.shards) w->PutU64(s.pruned);
 }
 
 Status DecodeServerStats(WireReader* r, ServerStatsSnapshot* stats) {
@@ -366,6 +388,9 @@ Status DecodeServerStats(WireReader* r, ServerStatsSnapshot* stats) {
   if (r->ok() && r->remaining() >= 8) {
     stats->reply_tail_copies = r->GetU64();
   }
+  if (r->ok() && r->remaining() >= 8 * stats->shards.size()) {
+    for (ShardStatsEntry& s : stats->shards) s.pruned = r->GetU64();
+  }
   return r->status();
 }
 
@@ -373,13 +398,14 @@ void EncodeHealthReply(const HealthReply& reply, WireWriter* w) {
   w->PutU8(reply.draining);
   w->PutU64(reply.served_rows);
   w->PutU32(reply.dim);
+  EncodeBoundsTail(reply.bounds, w);
 }
 
 Status DecodeHealthReply(WireReader* r, HealthReply* reply) {
   reply->draining = r->GetU8();
   reply->served_rows = r->GetU64();
   reply->dim = r->GetU32();
-  return r->status();
+  return DecodeBoundsTail(r, &reply->bounds);
 }
 
 void EncodeReloadRequest(const ReloadRequest& req, WireWriter* w) {
@@ -399,13 +425,14 @@ void EncodeReloadReply(const ReloadReply& reply, WireWriter* w) {
   w->PutU64(reply.old_epoch);
   w->PutU64(reply.new_epoch);
   w->PutU64(reply.served_rows);
+  EncodeBoundsTail(reply.bounds, w);
 }
 
 Status DecodeReloadReply(WireReader* r, ReloadReply* reply) {
   reply->old_epoch = r->GetU64();
   reply->new_epoch = r->GetU64();
   reply->served_rows = r->GetU64();
-  return r->status();
+  return DecodeBoundsTail(r, &reply->bounds);
 }
 
 Status ReadFrame(Socket* sock, const IoDeadline& deadline,

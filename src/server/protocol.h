@@ -211,6 +211,10 @@ struct ShardStatsEntry {
   uint32_t half_open_breakers = 0;  ///< breakers admitting a single probe
   uint64_t retries_denied = 0;      ///< failovers/hedges denied by the retry budget
   uint64_t breaker_short_circuits = 0;  ///< attempts skipped on an open breaker
+  /// Requests answered for this shard without a leg: its bounding box
+  /// proved it holds no qualifying row. Carried on the pruned tail, after
+  /// reply_tail_copies.
+  uint64_t pruned = 0;
 };
 /// Decode-side cap on the shard list length (hostile-length guard).
 inline constexpr uint32_t kMaxShardStats = 4096;
@@ -264,6 +268,10 @@ struct HealthReply {
   uint8_t draining = 0;
   uint64_t served_rows = 0;
   uint32_t dim = 0;
+  /// Tight bounding box of every served row (the kd-tree root's bounds),
+  /// an additive tail; dim 0 = not reported. The mdsc coordinator prunes
+  /// shards with it.
+  Box bounds;
 };
 
 /// kReload reply body: the epoch transition and the new row count. From a
@@ -273,6 +281,8 @@ struct ReloadReply {
   uint64_t old_epoch = 0;
   uint64_t new_epoch = 0;
   uint64_t served_rows = 0;
+  /// The new generation's bounds, as on HealthReply (dim 0 = not reported).
+  Box bounds;
 };
 
 // --- Codec -----------------------------------------------------------------

@@ -237,6 +237,7 @@ Result<protocol::ReloadReply> QueryServer::Reload(const std::string& path) {
     dataset_->BumpEpoch();
     reply.new_epoch = dataset_->epoch();
     reply.served_rows = dataset_->num_rows();
+    reply.bounds = dataset_->tree().root().bounds;
     pool_at_start_ = dataset_->pool()->Snapshot();
   }
   return reply;
@@ -1111,6 +1112,7 @@ void QueryServer::HandleHealth(const PendingRequest& req) {
   reply.draining = state_.load() != State::kRunning ? 1 : 0;
   reply.served_rows = req.dataset->num_rows();
   reply.dim = static_cast<uint32_t>(req.dataset->dim());
+  reply.bounds = req.dataset->tree().root().bounds;
   RecordInlineReply(req);
   const uint32_t flags = reply.draining ? protocol::kFlagDraining : 0;
   WriteReply(req, Status::OK(), flags, /*cacheable_reply=*/false,

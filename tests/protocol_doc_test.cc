@@ -139,14 +139,15 @@ TEST(ProtocolDocTest, DocumentedStructSizesHold) {
   EXPECT_EQ(buf.size(),
             22u * 8 + protocol::kNumRequestTypes * (6 * 8 + 8) + 4 + 8 +
                 4 * 8);
-  // One shard-stats entry is 2 u32 + 7 u64 + 2 u32 + 2 u64 = 88 bytes.
+  // One shard-stats entry is 2 u32 + 7 u64 + 2 u32 + 2 u64 = 88 bytes in
+  // the shard list, plus its u64 `pruned` counter on the pruned tail.
   snapshot.shards.resize(1);
   buf.clear();
   WireWriter w2(&buf);
   protocol::EncodeServerStats(snapshot, &w2);
   EXPECT_EQ(buf.size(),
             22u * 8 + protocol::kNumRequestTypes * (6 * 8 + 8) + 4 + 88 + 8 +
-                4 * 8);
+                4 * 8 + 8);
   // The shard-coverage tail on QueryReply/KnnReply is 16 bytes, and is
   // absent entirely when shards_total == 0 (a plain mdsd reply).
   protocol::QueryReply qr;
@@ -159,6 +160,18 @@ TEST(ProtocolDocTest, DocumentedStructSizesHold) {
   WireWriter wt(&tailed);
   protocol::EncodeQueryReply(qr, &wt);
   EXPECT_EQ(tailed.size(), plain.size() + 16);
+
+  // The bounds tail on HealthReply/ReloadReply is two coordinate vectors
+  // (u32 dim + dim f64 each), absent when no bounds are known.
+  protocol::HealthReply health;
+  std::vector<uint8_t> bare, bounded;
+  WireWriter wb(&bare);
+  protocol::EncodeHealthReply(health, &wb);
+  EXPECT_EQ(bare.size(), 1u + 8 + 4);
+  health.bounds = Box({0.0, 1.0}, {2.0, 3.0});
+  WireWriter wh(&bounded);
+  protocol::EncodeHealthReply(health, &wh);
+  EXPECT_EQ(bounded.size(), bare.size() + 2 * (4 + 2 * 8));
 }
 
 }  // namespace

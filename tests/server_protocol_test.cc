@@ -143,6 +143,71 @@ TEST(ProtocolCodec, RequestReplyRoundTrips) {
   }
 }
 
+TEST(ProtocolCodec, BoundsTailIsAdditive) {
+  // An older encoder's HealthReply/ReloadReply ends before the tail: it
+  // decodes as "no bounds" (dim 0).
+  {
+    std::vector<uint8_t> buf;
+    WireWriter w(&buf);
+    w.PutU8(0);
+    w.PutU64(42);
+    w.PutU32(2);
+    WireReader r(buf);
+    protocol::HealthReply got;
+    got.bounds = Box({9.0}, {9.0});
+    ASSERT_TRUE(protocol::DecodeHealthReply(&r, &got).ok());
+    EXPECT_EQ(got.served_rows, 42u);
+    EXPECT_EQ(got.bounds.dim(), 0u);
+  }
+  {
+    protocol::ReloadReply reply;
+    reply.old_epoch = 3;
+    reply.new_epoch = 4;
+    reply.served_rows = 99;
+    reply.bounds = Box({-1.0, 0.5}, {2.0, 0.75});
+    std::vector<uint8_t> buf;
+    WireWriter w(&buf);
+    protocol::EncodeReloadReply(reply, &w);
+    WireReader r(buf);
+    protocol::ReloadReply got;
+    ASSERT_TRUE(protocol::DecodeReloadReply(&r, &got).ok());
+    EXPECT_TRUE(r.ExpectEnd().ok());
+    EXPECT_EQ(got.new_epoch, 4u);
+    EXPECT_EQ(got.bounds, reply.bounds);
+  }
+  {
+    // A present but inverted tail is refused, not taken as bounds.
+    protocol::HealthReply reply;
+    reply.bounds = Box({1.0}, {0.0});
+    std::vector<uint8_t> buf;
+    WireWriter w(&buf);
+    protocol::EncodeHealthReply(reply, &w);
+    WireReader r(buf);
+    protocol::HealthReply got;
+    EXPECT_EQ(protocol::DecodeHealthReply(&r, &got).code(),
+              StatusCode::kInvalidArgument);
+  }
+  {
+    // Per-shard pruned counters ride the last stats tail, in shard order.
+    protocol::ServerStatsSnapshot stats;
+    stats.shards.resize(2);
+    stats.shards[0].pruned = 5;
+    stats.shards[1].pruned = 7;
+    stats.reply_tail_copies = 11;
+    std::vector<uint8_t> buf;
+    WireWriter w(&buf);
+    protocol::EncodeServerStats(stats, &w);
+    WireReader r(buf);
+    protocol::ServerStatsSnapshot got;
+    ASSERT_TRUE(protocol::DecodeServerStats(&r, &got).ok());
+    EXPECT_TRUE(r.ExpectEnd().ok());
+    ASSERT_EQ(got.shards.size(), 2u);
+    EXPECT_EQ(got.reply_tail_copies, 11u);
+    EXPECT_EQ(got.shards[0].pruned, 5u);
+    EXPECT_EQ(got.shards[1].pruned, 7u);
+  }
+}
+
 TEST(ProtocolCodec, RejectsInvertedAndNaNBoxBounds) {
   // An inverted box (lo > hi) or a NaN bound silently matches nothing in
   // every comparison downstream; the codec rejects both at the boundary so
@@ -300,6 +365,8 @@ class ServerProtocolTest : public ::testing::Test {
     auto health = client->Health();
     ASSERT_TRUE(health.ok()) << health.status().ToString();
     EXPECT_EQ(health->served_rows, dataset_->num_rows());
+    // mdsd reports the tight box of its rows on the Health tail.
+    EXPECT_EQ(health->bounds, dataset_->tree().root().bounds);
   }
 
   static ServedDataset* dataset_;
