@@ -1,6 +1,9 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <system_error>
+#include <utility>
 
 namespace mds {
 
@@ -16,59 +19,86 @@ unsigned QueryThreads() {
   return value;
 }
 
-TaskPool::TaskPool(unsigned threads)
-    : num_threads_(threads != 0 ? threads : QueryThreads()) {
-  // Worker 0 is the caller; only workers 1..N-1 get threads.
-  workers_.reserve(num_threads_ - 1);
-  for (unsigned w = 1; w < num_threads_; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
+ThreadPool::ThreadPool(unsigned max_threads, unsigned start_threads)
+    : max_threads_(max_threads != 0 ? max_threads : 1) {
+  std::lock_guard<std::mutex> lock(mu_);
+  while (threads_.size() < std::min(start_threads, max_threads_)) {
+    threads_.emplace_back([this] { Work(); });
   }
 }
 
-TaskPool::~TaskPool() {
+ThreadPool::~ThreadPool() {
+  std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
+    threads.swap(threads_);
   }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
+  cv_.notify_all();
+  for (std::thread& t : threads) t.join();
+}
+
+void ThreadPool::Submit(std::function<void()> job) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(job));
+    // A woken thread stays counted idle until it takes a job, so two
+    // Submits racing one wake-up still start a second thread.
+    if (queue_.size() > idle_ && threads_.size() < max_threads_) {
+      try {
+        threads_.emplace_back([this] { Work(); });
+      } catch (const std::system_error&) {
+        if (threads_.empty()) throw;
+      }
+    }
+  }
+  cv_.notify_one();
+}
+
+void ThreadPool::Work() {
+  for (;;) {
+    std::function<void()> job;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++idle_;
+      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      --idle_;
+      // Drain the queue even when stopping: a submitter may be waiting on
+      // a queued job.
+      if (queue_.empty()) return;
+      job = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    job();  // and its captures die here, off the lock
+  }
+}
+
+TaskPool::TaskPool(unsigned threads)
+    : num_threads_(threads != 0 ? threads : QueryThreads()) {
+  if (num_threads_ > 1) {
+    const unsigned helpers = num_threads_ - 1;  // worker 0 is the caller
+    workers_ = std::make_unique<ThreadPool>(helpers, helpers);
+  }
 }
 
 void TaskPool::Run(const std::function<void(unsigned)>& fn) {
-  if (num_threads_ == 1) {
+  if (workers_ == nullptr) {
     fn(0);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_ = &fn;
-    pending_ = num_threads_ - 1;
-    ++generation_;
+  std::mutex mu;
+  std::condition_variable done_cv;
+  unsigned pending = num_threads_ - 1;  // guarded by mu
+  for (unsigned w = 1; w < num_threads_; ++w) {
+    workers_->Submit([&, w] {
+      fn(w);
+      std::lock_guard<std::mutex> lock(mu);
+      if (--pending == 0) done_cv.notify_one();
+    });
   }
-  work_cv_.notify_all();
   fn(0);  // the calling thread is worker 0
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-  job_ = nullptr;
-}
-
-void TaskPool::WorkerLoop(unsigned worker) {
-  uint64_t seen = 0;
-  for (;;) {
-    const std::function<void(unsigned)>* job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      job = job_;
-    }
-    (*job)(worker);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) done_cv_.notify_one();
-    }
-  }
+  std::unique_lock<std::mutex> lock(mu);
+  done_cv.wait(lock, [&] { return pending == 0; });
 }
 
 void ParallelFor(TaskPool* pool, uint64_t n, uint64_t grain,

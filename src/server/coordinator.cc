@@ -1,7 +1,6 @@
 #include "server/coordinator.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <random>
 #include <utility>
@@ -79,6 +78,24 @@ protocol::QueryReply FromClientResult(QueryClient::QueryResult result) {
   out.degraded = result.degraded;
   out.chosen_path = std::move(result.chosen_path);
   return out;
+}
+
+/// mdsc's front end: the coordinator's own knobs, plus constants for what
+/// it never configured — one I/O loop, no default deadline (a request
+/// without one gets sub_deadline_ms per leg instead), no ganging. Workers
+/// are capped at max_in_flight, so every admitted fan-out has a thread.
+WireFrontEnd::Options FrontEndOptions(const CoordinatorConfig& config) {
+  WireFrontEnd::Options options;
+  options.port = config.port;
+  options.workers = static_cast<unsigned>(std::min<size_t>(
+      config.max_in_flight, std::numeric_limits<unsigned>::max()));
+  options.max_in_flight = config.max_in_flight;
+  options.max_connections = config.max_connections;
+  options.idle_timeout_ms = config.idle_timeout_ms;
+  options.io_threads = 1;
+  options.default_deadline_ms = 0;
+  options.pipeline_batch_max = 1;
+  return options;
 }
 
 }  // namespace
@@ -211,80 +228,13 @@ protocol::QueryReply MergeQueryReplies(
   return out;
 }
 
-// --- fan-out pool ----------------------------------------------------------
-
-/// A plain queue-based thread pool. TaskPool (common/parallel.h) is a
-/// fork/join pool whose Run() admits one caller at a time — exactly wrong
-/// for many concurrent handler threads each scattering a few jobs — so the
-/// coordinator brings its own. Jobs block on network I/O (bounded by the
-/// sub-request deadline), so the pool is sized to the replica count, not
-/// the core count.
-class Coordinator::FanoutPool {
- public:
-  explicit FanoutPool(unsigned threads) {
-    threads_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) {
-      threads_.emplace_back([this] { Work(); });
-    }
-  }
-
-  ~FanoutPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  void Submit(std::function<void()> fn) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(fn));
-    }
-    cv_.notify_one();
-  }
-
- private:
-  void Work() {
-    for (;;) {
-      std::function<void()> fn;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-        // Drain the queue even when stopping: a handler may still be
-        // waiting on a queued attempt.
-        if (queue_.empty()) return;
-        fn = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      fn();
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  bool stop_ = false;
-  std::vector<std::thread> threads_;
-};
-
-/// One client connection: its handler thread reads frames from it; the
-/// socket is shared with Shutdown (read-side shutdown only, see Socket's
-/// thread-safety note).
-struct Coordinator::ClientConn {
-  Socket sock;
-  /// Set by the handler thread as its last act, so the accept thread can
-  /// join it without blocking for long.
-  std::atomic<bool> done{false};
-};
-
 // --- lifecycle -------------------------------------------------------------
 
 Coordinator::Coordinator(const ShardMap& map, const CoordinatorConfig& config)
     : config_(config),
       rng_(config.jitter_seed != 0 ? config.jitter_seed
-                                   : std::random_device{}()) {
+                                   : std::random_device{}()),
+      front_(this, FrontEndOptions(config)) {
   shards_.reserve(map.shards.size());
   for (const auto& replicas : map.shards) {
     auto shard = std::make_unique<Shard>();
@@ -367,212 +317,53 @@ Status Coordinator::Start() {
     fanout = static_cast<unsigned>(
         std::min<size_t>(32, std::max<size_t>(4, 2 * total_replicas)));
   }
-  fanout_ = std::make_unique<FanoutPool>(fanout);
-
-  auto listener = TcpListener::Listen(config_.port);
-  if (!listener.ok()) return listener.status();
-  listener_ = std::move(*listener);
-  port_ = listener_.port();
-  state_.store(State::kRunning);
-  stop_accept_.store(false);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  fanout_ = std::make_unique<ThreadPool>(fanout);
+  Status started = front_.Start();
+  if (!started.ok()) {
+    fanout_.reset();
+    return started;
+  }
   started_ = true;
   return Status::OK();
 }
 
-void Coordinator::RequestDrain() {
-  State expected = State::kRunning;
-  state_.compare_exchange_strong(expected, State::kDraining);
-}
-
 void Coordinator::Shutdown() {
   if (!started_) return;
-  RequestDrain();
-
-  stop_accept_.store(true);
-  listener_.Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // Unblock every handler's read loop; in-flight replies still flush
-  // (the write direction stays open until the handler closes its socket).
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& conn : conns_) conn->sock.ShutdownRead();
-  }
-  for (Handler& h : handlers_) h.thread.join();
-  handlers_.clear();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
-  }
-
-  fanout_.reset();  // drains queued attempts, joins pool threads
+  front_.Shutdown();  // drains admitted fan-outs, joins workers and loop
+  fanout_.reset();    // runs queued attempts, joins pool threads
   for (auto& shard : shards_) {
     for (auto& replica : shard->replicas) {
       std::lock_guard<std::mutex> lock(replica->mu);
       replica->idle.clear();
     }
   }
-  state_.store(State::kStopped);
   started_ = false;
 }
 
-void Coordinator::AcceptLoop() {
-  while (!stop_accept_.load()) {
-    ReapHandlers();
-    auto sock = listener_.Accept(IoDeadline::After(250));
-    if (!sock.ok()) continue;  // deadline tick or listener shutdown
-    counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    size_t open = 0;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      open = conns_.size();
+void Coordinator::Execute(WireFrontEnd::Batch* batch) {
+  for (const Request& req : *batch) {
+    if (req.header.type == MessageType::kReload) {
+      HandleReload(req);
+    } else {
+      HandleQuery(req);
     }
-    if (draining() || open >= config_.max_connections) {
-      counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-      continue;  // Socket destructor closes the connection
-    }
-    (void)sock->SetNoDelay();
-    auto conn = std::make_shared<ClientConn>();
-    conn->sock = std::move(*sock);
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(conn);
-    }
-    handlers_.push_back(
-        {std::thread([this, conn] { HandleConnection(conn); }),
-         conn});
   }
 }
 
-void Coordinator::ReapHandlers() {
-  auto finished = std::partition(
-      handlers_.begin(), handlers_.end(),
-      [](const Handler& h) { return !h.conn->done.load(); });
-  for (auto it = finished; it != handlers_.end(); ++it) it->thread.join();
-  handlers_.erase(finished, handlers_.end());
+void Coordinator::FillHealth(protocol::HealthReply* reply) {
+  reply->served_rows = served_rows_;
+  reply->dim = dim_;
+  reply->bounds = FleetBounds(*LoadBounds());
 }
 
-void Coordinator::HandleConnection(std::shared_ptr<ClientConn> conn) {
-  for (;;) {
-    std::vector<uint8_t> payload;
-    const IoDeadline deadline =
-        config_.idle_timeout_ms == 0
-            ? IoDeadline::Infinite()
-            : IoDeadline::After(config_.idle_timeout_ms);
-    uint64_t frame_bytes = 0;
-    Status st =
-        protocol::ReadFrame(&conn->sock, deadline, &payload, &frame_bytes);
-    counters_.bytes_in.fetch_add(frame_bytes, std::memory_order_relaxed);
-    if (!st.ok()) {
-      if (st.code() == StatusCode::kInvalidArgument ||
-          st.code() == StatusCode::kCorruption) {
-        counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      }
-      break;  // clean close, idle timeout, mid-frame close or violation
-    }
-    if (!HandleFrame(conn.get(), std::move(payload))) break;
-  }
-  counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-  {
-    // Deregister before touching the fd: Shutdown() calls ShutdownRead()
-    // on every socket still registered (under conns_mu_), so the socket
-    // must leave the registry before Close() invalidates it.
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.erase(std::remove(conns_.begin(), conns_.end(), conn), conns_.end());
-  }
-  conn->sock.Close();
-  conn->done.store(true);
-}
-
-bool Coordinator::HandleFrame(ClientConn* conn, std::vector<uint8_t> payload) {
-  WireReader r(payload);
-  MessageHeader header;
-  if (!protocol::DecodeMessageHeader(&r, &header).ok()) {
-    // Bad version or truncated header: the stream cannot be trusted.
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  counters_.requests_total.fetch_add(1, std::memory_order_relaxed);
-
-  if (header.type == MessageType::kHealth) {
-    HandleHealth(conn, header);
-    return true;
-  }
-  if (header.type == MessageType::kStats) {
-    HandleStats(conn, header);
-    return true;
-  }
-  if (header.type == MessageType::kReload) {
-    // Admin request: body is the deadline prefix + the reload body.
-    const uint32_t deadline_ms = r.GetU32();
-    if (!r.ok()) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    protocol::ReloadRequest reload;
-    Status decoded = protocol::DecodeReloadRequest(&r, &reload);
-    if (decoded.ok()) decoded = r.ExpectEnd();
-    if (!decoded.ok()) {
-      WriteReplyFrame(conn, header, decoded, 0, nullptr);
-      return true;
-    }
-    HandleReload(conn, header, reload, deadline_ms);
-    return true;
-  }
-  if (protocol::TypeIndex(header.type) >= protocol::kNumRequestTypes) {
-    WriteReplyFrame(conn, header,
-                    Status::InvalidArgument(
-                        "unknown message type " +
-                        std::to_string(static_cast<int>(header.type))),
-                    0, nullptr);
-    return true;
-  }
-
-  // Query request: the body starts with the u32 deadline prefix.
-  const uint32_t deadline_ms = r.GetU32();
-  if (!r.ok()) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const size_t body_offset = payload.size() - r.remaining();
-  HandleQuery(conn, header, payload, body_offset, deadline_ms);
-  return true;
-}
-
-void Coordinator::HandleHealth(ClientConn* conn, const MessageHeader& header) {
-  const auto arrival = std::chrono::steady_clock::now();
-  protocol::HealthReply reply;
-  reply.draining = draining() ? 1 : 0;
-  reply.served_rows = served_rows_;
-  reply.dim = dim_;
-  reply.bounds = FleetBounds(*LoadBounds());
-  const uint32_t flags = reply.draining ? protocol::kFlagDraining : 0;
-  WriteReplyFrame(conn, header, Status::OK(), flags, [&](WireWriter* w) {
-    protocol::EncodeHealthReply(reply, w);
-  });
-  RecordReply(header.type, arrival, Status::OK());
-}
-
-void Coordinator::HandleStats(ClientConn* conn, const MessageHeader& header) {
-  // Count this reply before snapshotting so the snapshot includes the stats
-  // request itself, matching mdsd's accounting.
-  RecordReply(header.type, std::chrono::steady_clock::now(), Status::OK());
-  const protocol::ServerStatsSnapshot snapshot = Stats();
-  WriteReplyFrame(conn, header, Status::OK(), 0, [&](WireWriter* w) {
-    protocol::EncodeServerStats(snapshot, w);
-  });
-}
-
-void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
-                               const protocol::ReloadRequest& request,
-                               uint32_t deadline_ms) {
-  const auto arrival = std::chrono::steady_clock::now();
-  if (draining()) {
-    counters_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-    const Status shed = Status::Unavailable("coordinator is draining");
-    WriteReplyFrame(conn, header, shed, protocol::kFlagDraining, nullptr);
-    RecordReply(header.type, arrival, shed);
+void Coordinator::HandleReload(const Request& req) {
+  WireReader r(req.body(), req.body_size());
+  protocol::ReloadRequest request;
+  Status decoded = protocol::DecodeReloadRequest(&r, &request);
+  if (decoded.ok()) decoded = r.ExpectEnd();
+  if (!decoded.ok()) {
+    front_.Finish(req, decoded);
+    front_.ReplyError(req, decoded, 0);
     return;
   }
   // One fleet reload at a time: concurrent broadcasts would interleave
@@ -580,7 +371,7 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
   std::lock_guard<std::mutex> lock(reload_mu_);
 
   QueryOptions options;
-  options.deadline_ms = deadline_ms;  // 0 = the client's long default bound
+  options.deadline_ms = req.deadline_ms;  // 0 = the client's long default
 
   // Broadcast to every replica of every shard over fresh connections
   // (reloads are rare, and a dataset build would hold a pooled connection
@@ -627,8 +418,8 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
         const Status st = AnnotateStatus(
             failed, "Coordinator: reload of shard " + std::to_string(s) +
                         " replica " + std::to_string(i) + " failed");
-        WriteReplyFrame(conn, header, st, 0, nullptr);
-        RecordReply(header.type, arrival, st);
+        front_.Finish(req, st);
+        front_.ReplyError(req, st, 0);
         return;
       }
     }
@@ -639,55 +430,26 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
   merged.bounds = FleetBounds(next_bounds);
   PublishBounds(std::move(next_bounds));
 
-  WriteReplyFrame(conn, header, Status::OK(), 0, [&](WireWriter* w) {
+  front_.Finish(req, Status::OK());
+  front_.Reply(req, Status::OK(), 0, [&](WireWriter* w) {
     protocol::EncodeReloadReply(merged, w);
   });
-  RecordReply(header.type, arrival, Status::OK());
 }
 
-void Coordinator::HandleQuery(ClientConn* conn, const MessageHeader& header,
-                              const std::vector<uint8_t>& payload,
-                              size_t body_offset, uint32_t deadline_ms) {
-  const auto arrival = std::chrono::steady_clock::now();
-
-  if (draining()) {
-    counters_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-    const Status shed = Status::Unavailable("coordinator is draining");
-    WriteReplyFrame(conn, header, shed, protocol::kFlagDraining, nullptr);
-    RecordReply(header.type, arrival, shed);
-    return;
-  }
-  const size_t in_flight = in_flight_.fetch_add(1) + 1;
-  uint64_t peak = counters_.in_flight_peak.load(std::memory_order_relaxed);
-  while (in_flight > peak &&
-         !counters_.in_flight_peak.compare_exchange_weak(peak, in_flight)) {
-  }
-  if (in_flight > config_.max_in_flight) {
-    in_flight_.fetch_sub(1);
-    counters_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-    const Status shed = Status::Unavailable(
-        "coordinator overloaded: " + std::to_string(config_.max_in_flight) +
-        " requests in flight");
-    WriteReplyFrame(conn, header, shed, 0, nullptr);
-    RecordReply(header.type, arrival, shed);
-    return;
-  }
-
-  SubRequest req;
-  req.arrival = arrival;
-  Status st = DecodeSubRequest(header, payload.data() + body_offset,
-                               payload.size() - body_offset, deadline_ms, &req);
+void Coordinator::HandleQuery(const Request& req) {
+  SubRequest sub;
+  sub.arrival = req.arrival;
+  Status st = DecodeSubRequest(req.header, req.body(), req.body_size(),
+                               req.deadline_ms, &sub);
   protocol::QueryReply merged;
   std::vector<protocol::WireNeighbor> neighbors;
   ScatterOutcome outcome;
   if (st.ok()) {
-    st = ScatterGather(req, &merged, &neighbors, &outcome);
+    st = ScatterGather(sub, &merged, &neighbors, &outcome);
   }
-  in_flight_.fetch_sub(1);
-
+  front_.Finish(req, st);
   if (!st.ok()) {
-    WriteReplyFrame(conn, header, st, 0, nullptr);
-    RecordReply(header.type, arrival, st);
+    front_.ReplyError(req, st, 0);
     return;
   }
   // A partial merge is a degraded answer: both flags, so old clients that
@@ -695,13 +457,13 @@ void Coordinator::HandleQuery(ClientConn* conn, const MessageHeader& header,
   // tell "shards missing" from "pages skipped".
   const uint32_t partial_flags =
       outcome.partial ? (protocol::kFlagPartial | protocol::kFlagDegraded) : 0;
-  if (header.type == MessageType::kKnn) {
+  if (req.header.type == MessageType::kKnn) {
     protocol::KnnReply reply;
     reply.neighbors = std::move(neighbors);
     reply.shards_answered = outcome.answered;
     reply.shards_total = outcome.total;
     reply.shards_mask = outcome.mask;
-    WriteReplyFrame(conn, header, st, partial_flags, [&](WireWriter* w) {
+    front_.Reply(req, st, partial_flags, [&](WireWriter* w) {
       protocol::EncodeKnnReply(reply, w);
     });
   } else {
@@ -711,11 +473,10 @@ void Coordinator::HandleQuery(ClientConn* conn, const MessageHeader& header,
     merged.degraded = merged.degraded || outcome.partial;
     const uint32_t flags =
         (merged.degraded ? protocol::kFlagDegraded : 0) | partial_flags;
-    WriteReplyFrame(conn, header, st, flags, [&](WireWriter* w) {
+    front_.Reply(req, st, flags, [&](WireWriter* w) {
       protocol::EncodeQueryReply(merged, w);
     });
   }
-  RecordReply(header.type, arrival, st);
 }
 
 Status Coordinator::DecodeSubRequest(const MessageHeader& header,
@@ -741,11 +502,7 @@ Status Coordinator::DecodeSubRequest(const MessageHeader& header,
       protocol::BoxQueryRequest query;
       MDS_RETURN_NOT_OK(protocol::DecodeBoxQueryRequest(&r, &query));
       MDS_RETURN_NOT_OK(r.ExpectEnd());
-      if (query.lo.size() != dim_) {
-        return Status::InvalidArgument(
-            "query dimension " + std::to_string(query.lo.size()) +
-            " != served dimension " + std::to_string(dim_));
-      }
+      MDS_RETURN_NOT_OK(protocol::CheckQueryDimension(query.lo.size(), dim_));
       out->lo = std::move(query.lo);
       out->hi = std::move(query.hi);
       out->limit = query.limit;
@@ -755,11 +512,7 @@ Status Coordinator::DecodeSubRequest(const MessageHeader& header,
       protocol::KnnRequest knn;
       MDS_RETURN_NOT_OK(protocol::DecodeKnnRequest(&r, &knn));
       MDS_RETURN_NOT_OK(r.ExpectEnd());
-      if (knn.point.size() != dim_) {
-        return Status::InvalidArgument(
-            "query dimension " + std::to_string(knn.point.size()) +
-            " != served dimension " + std::to_string(dim_));
-      }
+      MDS_RETURN_NOT_OK(protocol::CheckQueryDimension(knn.point.size(), dim_));
       // The global bound check lives here: each shard only knows its own
       // rows, so a k between one shard's rows and the total is valid
       // globally while invalid locally (the scatter clamps per-shard k).
@@ -776,11 +529,7 @@ Status Coordinator::DecodeSubRequest(const MessageHeader& header,
       protocol::TableSampleRequest sample;
       MDS_RETURN_NOT_OK(protocol::DecodeTableSampleRequest(&r, &sample));
       MDS_RETURN_NOT_OK(r.ExpectEnd());
-      if (sample.lo.size() != dim_) {
-        return Status::InvalidArgument(
-            "query dimension " + std::to_string(sample.lo.size()) +
-            " != served dimension " + std::to_string(dim_));
-      }
+      MDS_RETURN_NOT_OK(protocol::CheckQueryDimension(sample.lo.size(), dim_));
       out->lo = std::move(sample.lo);
       out->hi = std::move(sample.hi);
       out->percent = sample.percent;
@@ -919,7 +668,7 @@ Status Coordinator::ScatterGather(
       return failure;
     }
     outcome->partial = true;
-    counters_.partial_replies.fetch_add(1, std::memory_order_relaxed);
+    partial_replies_.fetch_add(1, std::memory_order_relaxed);
   }
 
   if (req.type == MessageType::kKnn) {
@@ -1102,7 +851,7 @@ void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
       }
       shard->backend_errors.fetch_add(1, std::memory_order_relaxed);
       if (last.code() == StatusCode::kDeadlineExceeded) {
-        counters_.deadline_timeouts.fetch_add(1, std::memory_order_relaxed);
+        leg_timeouts_.fetch_add(1, std::memory_order_relaxed);
       }
       if (!ExhaustionFailure(last)) {
         stop = true;  // semantic error: every replica would repeat it
@@ -1317,15 +1066,6 @@ void Coordinator::ReleaseClient(Replica* replica, QueryClient client) {
   }
 }
 
-bool Coordinator::ReplicaHealthy(const Replica& replica) const {
-  // Healthy = breaker not open: closed (under the failure threshold) or
-  // half-open (backoff expired, a probe may run).
-  const uint32_t failures =
-      replica.consecutive_failures.load(std::memory_order_acquire);
-  if (failures < config_.breaker_failure_threshold) return true;
-  return SteadyNowMs() >= replica.retry_at_ms.load(std::memory_order_acquire);
-}
-
 void Coordinator::MarkReplicaFailure(Replica* replica) {
   const uint32_t failures =
       replica->consecutive_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -1370,82 +1110,13 @@ bool Coordinator::HedgeDelay(const Shard& shard,
   return true;
 }
 
-void Coordinator::WriteReplyFrame(
-    ClientConn* conn, const MessageHeader& req, const Status& status,
-    uint32_t extra_flags, const std::function<void(WireWriter*)>& encode_body) {
-  std::vector<uint8_t> payload;
-  WireWriter w(&payload);
-  MessageHeader header;
-  header.type = req.type;
-  header.flags = protocol::kFlagReply | extra_flags;
-  header.request_id = req.request_id;
-  protocol::EncodeMessageHeader(header, &w);
-  protocol::EncodeStatus(status, &w);
-  if (status.ok() && encode_body) encode_body(&w);
-  // Writes on one connection come only from its own handler thread, so
-  // replies never interleave. A failed write surfaces on the next read.
-  uint64_t wire_bytes = 0;
-  (void)protocol::WriteFrame(&conn->sock, IoDeadline::After(30000), payload,
-                             &wire_bytes);
-  counters_.bytes_out.fetch_add(wire_bytes, std::memory_order_relaxed);
-}
-
-void Coordinator::RecordReply(MessageType type,
-                              std::chrono::steady_clock::time_point arrival,
-                              const Status& status) {
-  const size_t idx = protocol::TypeIndex(type);
-  if (idx >= protocol::kNumRequestTypes) return;
-  const auto elapsed = std::chrono::steady_clock::now() - arrival;
-  latency_us_[idx].Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()));
-  if (status.ok()) {
-    counters_.replies_ok.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.replies_error.fetch_add(1, std::memory_order_relaxed);
-    counters_.type_errors[idx].fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-protocol::ServerStatsSnapshot Coordinator::Stats() const {
-  protocol::ServerStatsSnapshot out;
-  out.connections_accepted =
-      counters_.connections_accepted.load(std::memory_order_relaxed);
-  out.connections_closed =
-      counters_.connections_closed.load(std::memory_order_relaxed);
-  out.protocol_errors =
-      counters_.protocol_errors.load(std::memory_order_relaxed);
-  out.requests_total = counters_.requests_total.load(std::memory_order_relaxed);
-  out.replies_ok = counters_.replies_ok.load(std::memory_order_relaxed);
-  out.replies_error = counters_.replies_error.load(std::memory_order_relaxed);
-  out.rejected_overload =
-      counters_.rejected_overload.load(std::memory_order_relaxed);
-  out.rejected_draining =
-      counters_.rejected_draining.load(std::memory_order_relaxed);
-  out.bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  out.bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  out.in_flight_peak = counters_.in_flight_peak.load(std::memory_order_relaxed);
-  out.deadline_timeouts =
-      counters_.deadline_timeouts.load(std::memory_order_relaxed);
-  out.partial_replies =
-      counters_.partial_replies.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < protocol::kNumRequestTypes; ++i) {
-    const Histogram::Snapshot snap = latency_us_[i].TakeSnapshot();
-    protocol::RequestTypeStats& t = out.per_type[i];
-    t.count = snap.count;
-    t.errors = counters_.type_errors[i].load(std::memory_order_relaxed);
-    t.p50_us = snap.ValueAtPercentile(50);
-    t.p95_us = snap.ValueAtPercentile(95);
-    t.p99_us = snap.ValueAtPercentile(99);
-    t.max_us = snap.ValueAtPercentile(100);
-    t.mean_us = snap.Mean();
-  }
-  out.shards.reserve(shards_.size());
+void Coordinator::AddStats(protocol::ServerStatsSnapshot* out) const {
+  out->deadline_timeouts += leg_timeouts_.load(std::memory_order_relaxed);
+  out->partial_replies = partial_replies_.load(std::memory_order_relaxed);
+  out->shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     protocol::ShardStatsEntry entry;
     entry.replicas = static_cast<uint32_t>(shard->replicas.size());
-    for (const auto& replica : shard->replicas) {
-      if (ReplicaHealthy(*replica)) ++entry.healthy_replicas;
-    }
     for (const auto& replica : shard->replicas) {
       const uint32_t failures =
           replica->consecutive_failures.load(std::memory_order_acquire);
@@ -1457,6 +1128,8 @@ protocol::ServerStatsSnapshot Coordinator::Stats() const {
         ++entry.half_open_breakers;
       }
     }
+    // Healthy = breaker not open: closed, or half-open (a probe may run).
+    entry.healthy_replicas = entry.replicas - entry.open_breakers;
     entry.requests = shard->requests.load(std::memory_order_relaxed);
     entry.backend_errors = shard->backend_errors.load(std::memory_order_relaxed);
     entry.failovers = shard->failovers.load(std::memory_order_relaxed);
@@ -1469,9 +1142,8 @@ protocol::ServerStatsSnapshot Coordinator::Stats() const {
     const Histogram::Snapshot snap = shard->latency_us.TakeSnapshot();
     entry.p50_us = snap.ValueAtPercentile(50);
     entry.p99_us = snap.ValueAtPercentile(99);
-    out.shards.push_back(entry);
+    out->shards.push_back(entry);
   }
-  return out;
 }
 
 }  // namespace mds

@@ -5,19 +5,18 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/parallel.h"
 #include "common/result.h"
 #include "common/rng.h"
-#include "common/socket.h"
 #include "geom/box.h"
 #include "server/client.h"
+#include "server/front_end.h"
 #include "server/protocol.h"
 
 namespace mds {
@@ -99,8 +98,8 @@ struct CoordinatorConfig {
   /// Seed for backoff jitter; 0 = seeded from entropy. Fixed seeds make
   /// chaos-campaign runs reproducible.
   uint64_t jitter_seed = 0;
-  /// Scatter worker threads shared by all in-flight fan-outs;
-  /// 0 = min(32, max(4, 2 * total replicas)).
+  /// Cap of the backend-leg thread pool shared by all in-flight fan-outs
+  /// (threads start on demand); 0 = min(32, max(4, 2 * total replicas)).
   unsigned fanout_threads = 0;
   /// Idle pooled connections kept per replica.
   size_t pool_connections_per_replica = 8;
@@ -188,18 +187,21 @@ protocol::QueryReply MergeQueryReplies(
 /// a second attempt starts on the next replica, and the first success
 /// wins. Hedges fired/won are counted per shard.
 ///
-/// Threading model: one blocking accept thread plus one handler thread
-/// per client connection (the coordinator holds no dataset and does no
-/// engine work — its per-connection state is one stack, and a handler
-/// spends its life blocked on the scatter anyway); the accept thread joins
-/// handlers whose connection has closed on every pass, so churn leaves no
-/// exited-but-unjoined thread stacks behind. Sub-requests run on a
-/// shared fan-out thread pool so one request's shards proceed in
-/// parallel. Graceful drain mirrors mdsd: RequestDrain() sheds new query
+/// Threading model: the coordinator is the shared wire front end
+/// (server/front_end.h) over a scatter/merge backend. One reactor thread
+/// owns every client connection — idle connections cost table entries,
+/// not threads — and parses, admits and answers Health/Stats inline. Each
+/// admitted request runs on a worker from a pool capped at max_in_flight
+/// (threads start on demand), so an admitted fan-out never waits behind a
+/// blocked one; the worker blocks in the scatter while the legs run on a
+/// shared fan-out pool (so one request's shards proceed in parallel) and
+/// posts the merged reply back to the connection's loop. Pipelined
+/// requests on one connection execute concurrently and their replies may
+/// arrive out of request order; clients correlate by request id. Graceful
+/// drain mirrors mdsd because it is mdsd's: RequestDrain() sheds new query
 /// requests with kUnavailable + kFlagDraining while admitted fan-outs
-/// complete; Shutdown() drains, stops the acceptor, shuts the read side
-/// of every client connection (in-flight replies still flush) and joins.
-class Coordinator {
+/// complete; Shutdown() drains, flushes their replies and joins.
+class Coordinator final : private WireFrontEnd::Backend {
  public:
   Coordinator(const ShardMap& map, const CoordinatorConfig& config);
   ~Coordinator();
@@ -209,25 +211,25 @@ class Coordinator {
 
   /// Probes every shard (first reachable replica wins), validates that
   /// dimensions agree across shards, records each shard's bounds for
-  /// pruning, binds the port and starts the accept thread. Fails if any
-  /// shard has no reachable replica.
+  /// pruning, binds the port and starts the front end. Fails if any shard
+  /// has no reachable replica.
   Status Start();
 
   /// Bound port (valid after Start).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return front_.port(); }
 
-  bool draining() const { return state_.load() != State::kRunning; }
+  bool draining() const { return front_.draining(); }
 
   /// Stops accepting connections and sheds new query requests; admitted
   /// fan-outs complete. Safe to call more than once.
-  void RequestDrain();
+  void RequestDrain() { front_.RequestDrain(); }
 
   /// Full graceful stop. Idempotent.
   void Shutdown();
 
   /// The same snapshot a kStats request returns (front-end counters plus
   /// per-shard routing counters).
-  protocol::ServerStatsSnapshot Stats() const;
+  protocol::ServerStatsSnapshot Stats() const { return front_.Stats(); }
 
   /// Total rows served across shards / their common dimension (valid
   /// after Start; served_rows can move when a kReload lands a new
@@ -236,7 +238,7 @@ class Coordinator {
   uint32_t dim() const { return dim_; }
 
  private:
-  enum class State { kRunning, kDraining, kStopped };
+  using Request = WireFrontEnd::Request;
 
   /// One backend replica: its address, a small pool of idle connections,
   /// and circuit-breaker state. The breaker is derived state:
@@ -260,7 +262,7 @@ class Coordinator {
   struct Shard {
     std::vector<std::unique_ptr<Replica>> replicas;
     /// From the Start() probe; re-stamped by a successful kReload
-    /// broadcast (handler threads read it while queries validate k).
+    /// broadcast (workers read it while queries validate k).
     std::atomic<uint64_t> served_rows{0};
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> backend_errors{0};
@@ -320,7 +322,7 @@ class Coordinator {
     std::vector<QueryClient*> inflight;
   };
 
-  /// One client request's scatter state, shared by the handler thread and
+  /// One client request's scatter state, shared by the worker and
   /// the attempt jobs.
   struct Scatter {
     std::mutex mu;
@@ -329,34 +331,17 @@ class Coordinator {
     size_t done_count = 0;
   };
 
-  class FanoutPool;
-  struct ClientConn;
+  // --- WireFrontEnd::Backend -----------------------------------------------
+  void Execute(WireFrontEnd::Batch* batch) override;
+  void FillHealth(protocol::HealthReply* reply) override;
+  void AddStats(protocol::ServerStatsSnapshot* stats) const override;
 
-  /// A client connection's handler thread, joined once `conn->done`.
-  struct Handler {
-    std::thread thread;
-    std::shared_ptr<ClientConn> conn;
-  };
-
-  void AcceptLoop();
-  /// Joins handlers whose connection has closed (accept thread only).
-  void ReapHandlers();
-  void HandleConnection(std::shared_ptr<ClientConn> conn);
-  /// Handles one decoded request frame; returns false when the connection
-  /// must close (protocol violation).
-  bool HandleFrame(ClientConn* conn, std::vector<uint8_t> payload);
-  void HandleHealth(ClientConn* conn, const protocol::MessageHeader& header);
-  void HandleStats(ClientConn* conn, const protocol::MessageHeader& header);
-  /// Broadcasts a decoded kReload to every replica of every shard; on
-  /// success re-stamps the per-shard and total served_rows and the shard
-  /// bounds (widened while the broadcast runs).
-  void HandleReload(ClientConn* conn, const protocol::MessageHeader& header,
-                    const protocol::ReloadRequest& request,
-                    uint32_t deadline_ms);
+  /// Broadcasts a kReload to every replica of every shard; on success
+  /// re-stamps the per-shard and total served_rows and the shard bounds
+  /// (widened while the broadcast runs).
+  void HandleReload(const Request& req);
   /// Decode, validate, scatter, merge, reply for one query request.
-  void HandleQuery(ClientConn* conn, const protocol::MessageHeader& header,
-                   const std::vector<uint8_t>& payload, size_t body_offset,
-                   uint32_t deadline_ms);
+  void HandleQuery(const Request& req);
 
   /// Decodes and validates the request body into a SubRequest template
   /// (per-shard k is filled in at scatter time).
@@ -394,7 +379,7 @@ class Coordinator {
                  std::unique_lock<std::mutex>* lock);
 
   /// Per-shard bounding boxes (dim 0 = not reported, never pruned),
-  /// replaced as a whole so a handler reads one consistent set.
+  /// replaced as a whole so a worker reads one consistent set.
   using ShardBounds = std::vector<Box>;
   std::shared_ptr<const ShardBounds> LoadBounds() const {
     return bounds_.load(std::memory_order_acquire);
@@ -449,20 +434,12 @@ class Coordinator {
 
   Result<QueryClient> AcquireClient(Replica* replica);
   void ReleaseClient(Replica* replica, QueryClient client);
-  bool ReplicaHealthy(const Replica& replica) const;
   void MarkReplicaFailure(Replica* replica);
   void MarkReplicaSuccess(Replica* replica);
 
   /// Hedge delay for a shard; returns false when hedging should not fire
   /// (single replica, or adaptive mode without enough samples).
   bool HedgeDelay(const Shard& shard, std::chrono::microseconds* delay) const;
-
-  void WriteReplyFrame(ClientConn* conn, const protocol::MessageHeader& req,
-                       const Status& status, uint32_t extra_flags,
-                       const std::function<void(WireWriter*)>& encode_body);
-  void RecordReply(protocol::MessageType type,
-                   std::chrono::steady_clock::time_point arrival,
-                   const Status& status);
 
   CoordinatorConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -473,49 +450,23 @@ class Coordinator {
   /// Serializes whole-fleet reload broadcasts (mirrors QueryServer's
   /// per-server reload_mu_).
   std::mutex reload_mu_;
-  uint16_t port_ = 0;
-
-  TcpListener listener_;
-  std::thread accept_thread_;
-  std::unique_ptr<FanoutPool> fanout_;
-
-  std::atomic<State> state_{State::kStopped};
   bool started_ = false;
-  std::atomic<bool> stop_accept_{false};
 
-  // Live client connections, so Shutdown can unblock their read loops.
-  mutable std::mutex conns_mu_;
-  std::vector<std::shared_ptr<ClientConn>> conns_;
-  /// Touched only by the accept thread, and by Shutdown after joining it.
-  std::vector<Handler> handlers_;
-
-  std::atomic<size_t> in_flight_{0};
-
-  struct Counters {
-    std::atomic<uint64_t> connections_accepted{0};
-    std::atomic<uint64_t> connections_closed{0};
-    std::atomic<uint64_t> protocol_errors{0};
-    std::atomic<uint64_t> requests_total{0};
-    std::atomic<uint64_t> replies_ok{0};
-    std::atomic<uint64_t> replies_error{0};
-    std::atomic<uint64_t> rejected_overload{0};
-    std::atomic<uint64_t> rejected_draining{0};
-    std::atomic<uint64_t> bytes_in{0};
-    std::atomic<uint64_t> bytes_out{0};
-    std::atomic<uint64_t> in_flight_peak{0};
-    /// Backend legs whose read deadline fired (slow-but-alive replicas).
-    std::atomic<uint64_t> deadline_timeouts{0};
-    /// Replies answered from a strict subset of shards (kFlagPartial).
-    std::atomic<uint64_t> partial_replies{0};
-    std::atomic<uint64_t> type_errors[protocol::kNumRequestTypes] = {};
-  };
-  mutable Counters counters_;
-  Histogram latency_us_[protocol::kNumRequestTypes];
+  /// Backend legs whose read deadline fired (slow-but-alive replicas);
+  /// reported in deadline_timeouts next to the front end's queue expiries.
+  std::atomic<uint64_t> leg_timeouts_{0};
+  /// Replies answered from a strict subset of shards (kFlagPartial).
+  std::atomic<uint64_t> partial_replies_{0};
 
   /// Backoff jitter source (common/rng.h is not thread-safe; attempts on
   /// many fan-out threads mark failures concurrently).
   mutable std::mutex rng_mu_;
   mutable Rng rng_;
+
+  // The threads (legs, then the front end that submits them), declared
+  // after everything they touch.
+  std::unique_ptr<ThreadPool> fanout_;
+  WireFrontEnd front_;
 };
 
 }  // namespace mds

@@ -158,6 +158,13 @@ Status DecodeTableSampleRequest(WireReader* r, TableSampleRequest* req) {
   return Status::OK();
 }
 
+Status CheckQueryDimension(size_t got, size_t served) {
+  if (got == served) return Status::OK();
+  return Status::InvalidArgument("query dimension " + std::to_string(got) +
+                                 " != served dimension " +
+                                 std::to_string(served));
+}
+
 void EncodeStatus(const Status& status, WireWriter* w) {
   w->PutU32(static_cast<uint32_t>(status.code()));
   w->PutString(status.message());
@@ -436,7 +443,7 @@ Status DecodeReloadReply(WireReader* r, ReloadReply* reply) {
 }
 
 Status ReadFrame(Socket* sock, const IoDeadline& deadline,
-                 std::vector<uint8_t>* payload, uint64_t* bytes_read) {
+                 std::vector<uint8_t>* payload) {
   uint8_t prefix[kFramePrefixBytes];
   MDS_RETURN_NOT_OK(sock->ReadFull(prefix, sizeof(prefix), deadline));
   WireReader r(prefix, sizeof(prefix));
@@ -461,19 +468,15 @@ Status ReadFrame(Socket* sock, const IoDeadline& deadline,
   if (Crc32c(payload->data(), len) != crc) {
     return Status::Corruption("protocol: frame CRC mismatch");
   }
-  if (bytes_read != nullptr) *bytes_read += kFramePrefixBytes + len;
   return Status::OK();
 }
 
 Status WriteFrame(Socket* sock, const IoDeadline& deadline,
-                  const std::vector<uint8_t>& payload,
-                  uint64_t* bytes_written) {
+                  const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> wire;
   wire.reserve(kFramePrefixBytes + payload.size());
   AppendFrame(payload, &wire);
-  MDS_RETURN_NOT_OK(sock->WriteFull(wire.data(), wire.size(), deadline));
-  if (bytes_written != nullptr) *bytes_written += wire.size();
-  return Status::OK();
+  return sock->WriteFull(wire.data(), wire.size(), deadline);
 }
 
 }  // namespace protocol

@@ -306,6 +306,10 @@ Status DecodeKnnRequest(WireReader* r, KnnRequest* req);
 void EncodeTableSampleRequest(const TableSampleRequest& req, WireWriter* w);
 Status DecodeTableSampleRequest(WireReader* r, TableSampleRequest* req);
 
+/// InvalidArgument unless a request's coordinates (`got` of them) match
+/// the served dimension — the one wording both daemons reply with.
+Status CheckQueryDimension(size_t got, size_t served);
+
 /// Replies carry a Status first; the body follows only when it is OK.
 void EncodeStatus(const Status& status, WireWriter* w);
 Status DecodeStatus(WireReader* r, Status* status);
@@ -329,15 +333,12 @@ Status DecodeReloadReply(WireReader* r, ReloadReply* reply);
 /// Failure taxonomy: NotFound = clean close on a frame boundary;
 /// kUnavailable = deadline or mid-frame close; kInvalidArgument /
 /// kCorruption = protocol violation (caller must close the connection).
-/// `bytes_read` (optional) accumulates the on-wire byte count.
 Status ReadFrame(Socket* sock, const IoDeadline& deadline,
-                 std::vector<uint8_t>* payload, uint64_t* bytes_read = nullptr);
+                 std::vector<uint8_t>* payload);
 
-/// Frames and writes one payload. `bytes_written` (optional) accumulates
-/// the on-wire byte count.
+/// Frames and writes one payload.
 Status WriteFrame(Socket* sock, const IoDeadline& deadline,
-                  const std::vector<uint8_t>& payload,
-                  uint64_t* bytes_written = nullptr);
+                  const std::vector<uint8_t>& payload);
 
 }  // namespace protocol
 }  // namespace mds

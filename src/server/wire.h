@@ -125,6 +125,7 @@ class WireReader {
       std::memset(out, 0, n);
       return;
     }
+    if (n == 0) return;  // an empty vector's data() may be null
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }

@@ -1314,5 +1314,26 @@ TEST_F(CoordinatorTest, ConnectionChurnIsResourceFlat) {
       << " kB over 1000 connections";
 }
 
+TEST_F(CoordinatorTest, IdleConnectionsParkWithoutThreads) {
+  // Parked client connections must cost mdsc table entries, not stacks:
+  // 200 idle clients (under the default max_connections of 256) add at
+  // most a couple of threads, and every one of them still answers.
+  Topology t = Start({{shard2_[0]}, {shard2_[1]}});
+  constexpr int kIdle = 200;
+  std::vector<QueryClient> clients;
+  clients.reserve(kIdle);
+  const ProcResources before = ReadProcResources();
+  for (int i = 0; i < kIdle; ++i) {
+    clients.push_back(MustConnect(t.coordinator->port()));
+    ASSERT_TRUE(clients.back().Health().ok()) << "connection " << i;
+  }
+  const ProcResources parked = ReadProcResources();
+  EXPECT_LE(parked.threads, before.threads + 2)
+      << kIdle << " idle connections must not cost threads";
+  for (int i = 0; i < kIdle; ++i) {
+    ASSERT_TRUE(clients[i].Health().ok()) << "connection " << i;
+  }
+}
+
 }  // namespace
 }  // namespace mds

@@ -11,11 +11,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/crc32c.h"
 #include "server/client.h"
+#include "server/coordinator.h"
 #include "server/dataset.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -318,7 +320,13 @@ TEST(ProtocolCodec, RejectsBadDimensionAndParameters) {
   }
 }
 
-// --- Live-server abuse ------------------------------------------------------
+// --- Live-daemon abuse ------------------------------------------------------
+//
+// The front-end cases run against both daemons — mdsd and mdsc over two
+// shards share one wire front end, so they must survive the same abuse
+// with the same answers.
+
+enum class Daemon { kMdsd, kMdsc };
 
 class ServerProtocolTest : public ::testing::Test {
  protected:
@@ -334,20 +342,41 @@ class ServerProtocolTest : public ::testing::Test {
     server_config.idle_timeout_ms = 1000;  // fast slow-loris verdicts
     server_ = new QueryServer(dataset_, server_config);
     ASSERT_TRUE(server_->Start().ok());
+
+    ShardMap map;
+    for (uint32_t i = 0; i < 2; ++i) {
+      DatasetConfig shard = config;
+      shard.shard_index = i;
+      shard.shard_count = 2;
+      auto part = ServedDataset::Build(shard);
+      ASSERT_TRUE(part.ok());
+      shards_[i] = new ServedDataset(std::move(*part));
+      shard_servers_[i] = new QueryServer(shards_[i], ServerConfig{});
+      ASSERT_TRUE(shard_servers_[i]->Start().ok());
+      map.shards.push_back({{"127.0.0.1", shard_servers_[i]->port()}});
+    }
+    CoordinatorConfig coordinator_config;
+    coordinator_config.idle_timeout_ms = 1000;
+    coordinator_ = new Coordinator(map, coordinator_config);
+    ASSERT_TRUE(coordinator_->Start().ok());
   }
 
   static void TearDownTestSuite() {
+    coordinator_->Shutdown();
+    delete coordinator_;
+    coordinator_ = nullptr;
+    for (uint32_t i = 0; i < 2; ++i) {
+      shard_servers_[i]->Shutdown();
+      delete shard_servers_[i];
+      delete shards_[i];
+      shard_servers_[i] = nullptr;
+      shards_[i] = nullptr;
+    }
     server_->Shutdown();
     delete server_;
     delete dataset_;
     server_ = nullptr;
     dataset_ = nullptr;
-  }
-
-  static Socket MustConnect() {
-    auto sock = TcpConnect("127.0.0.1", server_->port(), 5000);
-    EXPECT_TRUE(sock.ok()) << sock.status().ToString();
-    return std::move(*sock);
   }
 
   /// True when the peer closed the connection (any read failure short of
@@ -358,25 +387,63 @@ class ServerProtocolTest : public ::testing::Test {
     return !st.ok() && st.code() != StatusCode::kUnavailable;
   }
 
-  /// The server must still answer a well-formed request after abuse.
-  static void ExpectServerHealthy() {
-    auto client = QueryClient::Connect("127.0.0.1", server_->port());
-    ASSERT_TRUE(client.ok()) << client.status().ToString();
-    auto health = client->Health();
-    ASSERT_TRUE(health.ok()) << health.status().ToString();
-    EXPECT_EQ(health->served_rows, dataset_->num_rows());
-    // mdsd reports the tight box of its rows on the Health tail.
-    EXPECT_EQ(health->bounds, dataset_->tree().root().bounds);
-  }
-
   static ServedDataset* dataset_;
   static QueryServer* server_;
+  static ServedDataset* shards_[2];
+  static QueryServer* shard_servers_[2];
+  static Coordinator* coordinator_;
 };
 
 ServedDataset* ServerProtocolTest::dataset_ = nullptr;
 QueryServer* ServerProtocolTest::server_ = nullptr;
+ServedDataset* ServerProtocolTest::shards_[2] = {nullptr, nullptr};
+QueryServer* ServerProtocolTest::shard_servers_[2] = {nullptr, nullptr};
+Coordinator* ServerProtocolTest::coordinator_ = nullptr;
 
-TEST_F(ServerProtocolTest, BadMagicClosesConnection) {
+/// The front-end cases, once per daemon.
+class FrontEndProtocolTest : public ServerProtocolTest,
+                             public ::testing::WithParamInterface<Daemon> {
+ protected:
+  uint16_t port() const {
+    return GetParam() == Daemon::kMdsd ? server_->port()
+                                       : coordinator_->port();
+  }
+
+  Socket MustConnect() const {
+    auto sock = TcpConnect("127.0.0.1", port(), 5000);
+    EXPECT_TRUE(sock.ok()) << sock.status().ToString();
+    return std::move(*sock);
+  }
+
+  /// The daemon must still answer a well-formed request after abuse, and
+  /// report its own rows and bounds: mdsd the tight box of its rows, mdsc
+  /// the union of its shards' boxes.
+  void ExpectServerHealthy() const {
+    uint64_t rows = dataset_->num_rows();
+    Box bounds = dataset_->tree().root().bounds;
+    if (GetParam() == Daemon::kMdsc) {
+      rows = shards_[0]->num_rows() + shards_[1]->num_rows();
+      bounds = shards_[0]->tree().root().bounds;
+      bounds.Extend(shards_[1]->tree().root().bounds.lo().data());
+      bounds.Extend(shards_[1]->tree().root().bounds.hi().data());
+    }
+    auto client = QueryClient::Connect("127.0.0.1", port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto health = client->Health();
+    ASSERT_TRUE(health.ok()) << health.status().ToString();
+    EXPECT_EQ(health->served_rows, rows);
+    EXPECT_EQ(health->bounds, bounds);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Daemons, FrontEndProtocolTest,
+    ::testing::Values(Daemon::kMdsd, Daemon::kMdsc),
+    [](const ::testing::TestParamInfo<Daemon>& info) {
+      return std::string(info.param == Daemon::kMdsd ? "mdsd" : "mdsc");
+    });
+
+TEST_P(FrontEndProtocolTest, BadMagicClosesConnection) {
   Socket sock = MustConnect();
   std::vector<uint8_t> junk(64, 0xAB);
   ASSERT_TRUE(
@@ -385,7 +452,7 @@ TEST_F(ServerProtocolTest, BadMagicClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, OversizedLengthPrefixClosesConnection) {
+TEST_P(FrontEndProtocolTest, OversizedLengthPrefixClosesConnection) {
   Socket sock = MustConnect();
   std::vector<uint8_t> frame;
   WireWriter w(&frame);
@@ -398,7 +465,7 @@ TEST_F(ServerProtocolTest, OversizedLengthPrefixClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, BadCrcClosesConnection) {
+TEST_P(FrontEndProtocolTest, BadCrcClosesConnection) {
   std::vector<uint8_t> payload;
   WireWriter pw(&payload);
   EncodeMessageHeader(MessageHeader{}, &pw);
@@ -415,7 +482,7 @@ TEST_F(ServerProtocolTest, BadCrcClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, UnknownVersionClosesConnection) {
+TEST_P(FrontEndProtocolTest, UnknownVersionClosesConnection) {
   std::vector<uint8_t> payload;
   WireWriter pw(&payload);
   MessageHeader header;
@@ -433,7 +500,7 @@ TEST_F(ServerProtocolTest, UnknownVersionClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, UnknownTypeGetsUnimplementedReply) {
+TEST_P(FrontEndProtocolTest, UnknownTypeGetsUnimplementedReply) {
   std::vector<uint8_t> payload;
   WireWriter pw(&payload);
   MessageHeader header;
@@ -460,7 +527,7 @@ TEST_F(ServerProtocolTest, UnknownTypeGetsUnimplementedReply) {
   EXPECT_EQ(remote.code(), StatusCode::kUnimplemented);
 }
 
-TEST_F(ServerProtocolTest, TruncatedBodyGetsErrorReply) {
+TEST_P(FrontEndProtocolTest, TruncatedBodyGetsErrorReply) {
   // Well-framed payload whose body stops mid-request: the frame passes CRC,
   // decode fails cleanly, and the server answers with a status instead of
   // crashing on the short buffer.
@@ -490,7 +557,7 @@ TEST_F(ServerProtocolTest, TruncatedBodyGetsErrorReply) {
   EXPECT_FALSE(remote.ok());
 }
 
-TEST_F(ServerProtocolTest, SlowLorisPartialFrameTimesOutCleanly) {
+TEST_P(FrontEndProtocolTest, SlowLorisPartialFrameTimesOutCleanly) {
   // Send half a valid frame, then stall. The per-frame idle deadline
   // (1 s in this suite) must reap the connection; the server stays up.
   std::vector<uint8_t> payload;
@@ -569,7 +636,7 @@ TEST_F(ServerProtocolTest, CachedReplyIsByteIdenticalOnTheWire) {
   server.Shutdown();
 }
 
-TEST_F(ServerProtocolTest, PipelinedBurstCorrelatesByRequestId) {
+TEST_P(FrontEndProtocolTest, PipelinedBurstCorrelatesByRequestId) {
   // Raw-wire pipelining: k request frames in one write, with request ids
   // deliberately out of ascending order. The server must answer every id
   // exactly once, and each reply must be byte-identical to the reply the
@@ -659,14 +726,14 @@ TEST_F(ServerProtocolTest, PipelinedBurstCorrelatesByRequestId) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, PeerCloseMidReplyLeavesServerServing) {
+TEST_P(FrontEndProtocolTest, PeerCloseMidReplyLeavesServerServing) {
   // A client that submits a large query and slams the connection shut (RST
   // via zero-linger) before reading the reply must cost the server nothing
   // but the wasted work: the reply write fails with a status — never a
   // SIGPIPE, which would kill the whole process.
   const size_t dim = dataset_->dim();
   for (int i = 0; i < 8; ++i) {
-    auto sock = TcpConnect("127.0.0.1", server_->port(), 5000);
+    auto sock = TcpConnect("127.0.0.1", port(), 5000);
     ASSERT_TRUE(sock.ok());
     std::vector<uint8_t> payload;
     WireWriter pw(&payload);
@@ -701,14 +768,15 @@ TEST_F(ServerProtocolTest, PeerCloseMidReplyLeavesServerServing) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, AbuseBarrageLeavesServerServing) {
+TEST_P(FrontEndProtocolTest, AbuseBarrageLeavesServerServing) {
   // A burst of mixed violations from several threads, then a correctness
   // probe: the server must still answer queries with exact results.
   std::vector<std::thread> abusers;
+  const uint16_t target = port();
   for (int t = 0; t < 4; ++t) {
-    abusers.emplace_back([t] {
+    abusers.emplace_back([t, target] {
       for (int i = 0; i < 8; ++i) {
-        auto sock = TcpConnect("127.0.0.1", server_->port(), 5000);
+        auto sock = TcpConnect("127.0.0.1", target, 5000);
         if (!sock.ok()) continue;
         std::vector<uint8_t> junk((t * 8 + i) % 23 + 1,
                                   static_cast<uint8_t>(i * 37 + t));
