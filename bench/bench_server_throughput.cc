@@ -206,8 +206,10 @@ int Run(const bench::BenchOptions& options) {
   dataset_config.num_rows = options.n != 0 ? options.n
                             : options.quick ? 100000
                                             : 500000;
-  auto dataset = ServedDataset::Build(dataset_config);
-  MDS_CHECK(dataset.ok());
+  auto built_dataset = ServedDataset::Build(dataset_config);
+  MDS_CHECK(built_dataset.ok());
+  const auto dataset =
+      std::make_shared<const ServedDataset>(std::move(*built_dataset));
   std::printf("dataset: %llu rows, dim %zu\n",
               (unsigned long long)dataset->num_rows(), dataset->dim());
 
@@ -216,7 +218,7 @@ int Run(const bench::BenchOptions& options) {
     ServerConfig config;
     config.num_workers = 4;
     config.max_in_flight = 256;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     // Correctness probe before the clock starts: one remote count must
@@ -260,7 +262,7 @@ int Run(const bench::BenchOptions& options) {
     ServerConfig config;
     config.num_workers = 2;
     config.max_in_flight = 4;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     const size_t clients = 2 * config.max_in_flight * 2;  // 2x cap, 2 each
@@ -296,7 +298,7 @@ int Run(const bench::BenchOptions& options) {
     config.num_workers = 2;
     config.max_in_flight = 4;
     config.cache_bytes = 32u << 20;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     const size_t kDistinct = 64;
@@ -421,7 +423,7 @@ int Run(const bench::BenchOptions& options) {
     config.num_workers = 4;
     config.max_in_flight = 256;
     config.cache_bytes = 32u << 20;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     const size_t kConns = 64;
@@ -504,11 +506,11 @@ int Run(const bench::BenchOptions& options) {
     double shards4_per_sec = 0.0;
     for (const uint32_t num_shards : {1u, 2u, 4u}) {
       // Shard datasets: shard 0 of 1 is the full catalog, already built.
-      std::vector<std::unique_ptr<ServedDataset>> shard_data;
+      std::vector<std::shared_ptr<const ServedDataset>> shard_data;
       std::vector<std::unique_ptr<QueryServer>> backends;
       ShardMap map;
       for (uint32_t i = 0; i < num_shards; ++i) {
-        ServedDataset* served = &*dataset;
+        std::shared_ptr<const ServedDataset> served = dataset;
         if (num_shards > 1) {
           DatasetConfig shard_config = dataset_config;
           shard_config.shard_index = i;
@@ -516,8 +518,8 @@ int Run(const bench::BenchOptions& options) {
           auto built = ServedDataset::Build(shard_config);
           MDS_CHECK(built.ok());
           shard_data.push_back(
-              std::make_unique<ServedDataset>(std::move(*built)));
-          served = shard_data.back().get();
+              std::make_shared<const ServedDataset>(std::move(*built)));
+          served = shard_data.back();
         }
         ServerConfig backend_config;
         backend_config.num_workers = 2;
@@ -604,8 +606,8 @@ int Run(const bench::BenchOptions& options) {
     ServerConfig backend_config;
     backend_config.num_workers = 2;
     backend_config.max_in_flight = 256;
-    QueryServer replica0(&*dataset, backend_config);
-    QueryServer replica1(&*dataset, backend_config);
+    QueryServer replica0(dataset, backend_config);
+    QueryServer replica1(dataset, backend_config);
     MDS_CHECK(replica0.Start().ok());
     MDS_CHECK(replica1.Start().ok());
     ShardMap map;
@@ -702,7 +704,8 @@ int Run(const bench::BenchOptions& options) {
     // load-served server. The generations are identical (same seed), so
     // only the pager differs; the bar is >= 95% of build throughput.
     const int per_client = options.quick ? 250 : 2500;
-    auto throughput_of = [&](ServedDataset* served, const char* name) {
+    auto throughput_of = [&](std::shared_ptr<const ServedDataset> served,
+                             const char* name) {
       ServerConfig config;
       config.num_workers = 4;
       config.max_in_flight = 256;
@@ -716,8 +719,11 @@ int Run(const bench::BenchOptions& options) {
       server.Shutdown();
       return 1000.0 * static_cast<double>(r.ok) / r.wall_ms;
     };
-    const double build_per_sec = throughput_of(&*built, "server_from_build");
-    const double mmap_per_sec = throughput_of(&*loaded, "server_from_mmap");
+    auto built_data = std::make_shared<const ServedDataset>(std::move(*built));
+    auto loaded_data =
+        std::make_shared<const ServedDataset>(std::move(*loaded));
+    const double build_per_sec = throughput_of(built_data, "server_from_build");
+    const double mmap_per_sec = throughput_of(loaded_data, "server_from_mmap");
     std::printf("mmap parity: %.0f req/s vs %.0f built (%.1f%%)\n",
                 mmap_per_sec, build_per_sec,
                 100.0 * mmap_per_sec / build_per_sec);
@@ -727,7 +733,7 @@ int Run(const bench::BenchOptions& options) {
     // Live swap: steady p99 first, then the same workload with a reload
     // landing mid-run. Every request must succeed across the swap.
     {
-      auto served = std::make_shared<const ServedDataset>(std::move(*loaded));
+      std::shared_ptr<const ServedDataset> served = std::move(loaded_data);
       ServerConfig config;
       config.num_workers = 4;
       config.max_in_flight = 256;

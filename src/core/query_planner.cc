@@ -10,23 +10,29 @@ QueryPlanner& QueryPlanner::AddPath(std::unique_ptr<AccessPath> path) {
   return *this;
 }
 
-Result<size_t> QueryPlanner::ChooseBest() const {
-  size_t best = paths_.size();
-  double best_cost = 0.0;
+std::vector<std::pair<double, size_t>> QueryPlanner::Rank(
+    const std::string& required_path) const {
+  std::vector<std::pair<double, size_t>> order;
   for (size_t i = 0; i < paths_.size(); ++i) {
+    if (!required_path.empty() && required_path != paths_[i]->name()) {
+      continue;
+    }
     if (!paths_[i]->Validate().ok()) continue;
     const CostEstimate estimate = paths_[i]->Estimate();
     if (!estimate.feasible) continue;
-    const double cost = estimate.Total();
-    if (best == paths_.size() || cost < best_cost) {
-      best = i;
-      best_cost = cost;
-    }
+    order.emplace_back(estimate.Total(), i);
   }
-  if (best == paths_.size()) {
+  // Equal costs keep registration order (the pair compares i second).
+  std::sort(order.begin(), order.end());
+  return order;
+}
+
+Result<size_t> QueryPlanner::ChooseBest() const {
+  const std::vector<std::pair<double, size_t>> order = Rank(std::string());
+  if (order.empty()) {
     return Status::InvalidArgument("QueryPlanner: no feasible access path");
   }
-  return best;
+  return order.front().second;
 }
 
 std::vector<QueryPlanner::Candidate> QueryPlanner::ExplainAll() const {
@@ -46,19 +52,10 @@ Result<StorageQueryResult> QueryPlanner::Execute(QueryStats* stats,
 Result<StorageQueryResult> QueryPlanner::Execute(const ExecuteOptions& options,
                                                  QueryStats* stats,
                                                  std::string* chosen) {
-  // Rank every feasible path by estimated cost; execution walks this order
-  // so a corruption fallback lands on the next-cheapest alternative.
-  std::vector<std::pair<double, size_t>> order;
-  for (size_t i = 0; i < paths_.size(); ++i) {
-    if (!options.required_path.empty() &&
-        options.required_path != paths_[i]->name()) {
-      continue;
-    }
-    if (!paths_[i]->Validate().ok()) continue;
-    const CostEstimate estimate = paths_[i]->Estimate();
-    if (!estimate.feasible) continue;
-    order.emplace_back(estimate.Total(), i);
-  }
+  // Execution walks the cost order, so a corruption fallback lands on the
+  // next-cheapest alternative.
+  const std::vector<std::pair<double, size_t>> order =
+      Rank(options.required_path);
   if (order.empty()) {
     if (!options.required_path.empty()) {
       return Status::InvalidArgument(
@@ -67,7 +64,6 @@ Result<StorageQueryResult> QueryPlanner::Execute(const ExecuteOptions& options,
     }
     return Status::InvalidArgument("QueryPlanner: no feasible access path");
   }
-  std::sort(order.begin(), order.end());
 
   Status last;
   bool fell_back = false;

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/access_path.h"
@@ -67,6 +68,12 @@ class QueryPlanner {
                                      std::string* chosen = nullptr);
 
  private:
+  /// The one cost rule: (estimated cost, path index) of every valid,
+  /// feasible path — restricted to `required_path` when non-empty —
+  /// cheapest first.
+  std::vector<std::pair<double, size_t>> Rank(
+      const std::string& required_path) const;
+
   std::vector<std::unique_ptr<AccessPath>> paths_;
 };
 

@@ -272,8 +272,7 @@ std::vector<Result<QueryClient::QueryResult>> QueryClient::PipelineInternal(
 
   // Frame every request back-to-back into one wire buffer: the whole
   // batch leaves in one write (one RTT of request latency for k
-  // requests), and the server's frame parser sees them as one
-  // contiguous pipelined burst it can gang.
+  // requests).
   std::unordered_map<uint64_t, size_t> slot_of_id;
   slot_of_id.reserve(boxes.size());
   std::vector<uint8_t> wire;

@@ -82,8 +82,8 @@ protocol::QueryReply FromClientResult(QueryClient::QueryResult result) {
 
 /// mdsc's front end: the coordinator's own knobs, plus constants for what
 /// it never configured — one I/O loop, no default deadline (a request
-/// without one gets sub_deadline_ms per leg instead), no ganging. Workers
-/// are capped at max_in_flight, so every admitted fan-out has a thread.
+/// without one gets sub_deadline_ms per leg instead). Workers are capped
+/// at max_in_flight, so every admitted fan-out has a thread.
 WireFrontEnd::Options FrontEndOptions(const CoordinatorConfig& config) {
   WireFrontEnd::Options options;
   options.port = config.port;
@@ -94,7 +94,6 @@ WireFrontEnd::Options FrontEndOptions(const CoordinatorConfig& config) {
   options.idle_timeout_ms = config.idle_timeout_ms;
   options.io_threads = 1;
   options.default_deadline_ms = 0;
-  options.pipeline_batch_max = 1;
   return options;
 }
 
@@ -340,13 +339,11 @@ void Coordinator::Shutdown() {
   started_ = false;
 }
 
-void Coordinator::Execute(WireFrontEnd::Batch* batch) {
-  for (const Request& req : *batch) {
-    if (req.header.type == MessageType::kReload) {
-      HandleReload(req);
-    } else {
-      HandleQuery(req);
-    }
+void Coordinator::Execute(Request* req) {
+  if (req->header.type == MessageType::kReload) {
+    HandleReload(*req);
+  } else {
+    HandleQuery(*req);
   }
 }
 

@@ -332,7 +332,7 @@ class Coordinator final : private WireFrontEnd::Backend {
   };
 
   // --- WireFrontEnd::Backend -----------------------------------------------
-  void Execute(WireFrontEnd::Batch* batch) override;
+  void Execute(Request* req) override;
   void FillHealth(protocol::HealthReply* reply) override;
   void AddStats(protocol::ServerStatsSnapshot* stats) const override;
 

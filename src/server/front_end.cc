@@ -14,7 +14,6 @@ namespace mds {
 
 namespace {
 
-using protocol::MessageHeader;
 using protocol::MessageType;
 using protocol::TypeIndex;
 
@@ -32,25 +31,6 @@ constexpr uint64_t kAcceptBackoffMaxMs = 1000;
 /// Shutdown grace for flushing pending replies to slow readers before
 /// their connections are closed anyway.
 constexpr uint64_t kDrainFlushGraceMs = 5000;
-
-/// True for requests a worker may gang into one Execute call: box-like
-/// queries with no behavior-altering flags. kNN has no access path, and
-/// hinted/skip-corrupt requests take the planner's special branches —
-/// each of those executes alone.
-bool Gangable(const MessageHeader& header) {
-  constexpr uint32_t kAloneFlags = protocol::kFlagSkipCorrupt |
-                                   protocol::kFlagHintFullScan |
-                                   protocol::kFlagHintIndex;
-  if ((header.flags & kAloneFlags) != 0) return false;
-  switch (header.type) {
-    case MessageType::kPointCount:
-    case MessageType::kBoxQuery:
-    case MessageType::kTableSample:
-      return true;
-    default:
-      return false;
-  }
-}
 
 void CancelTimer(EventLoop* loop, EventLoop::TimerId* timer) {
   if (*timer == 0) return;
@@ -100,7 +80,6 @@ WireFrontEnd::WireFrontEnd(Backend* backend, const Options& options)
   if (options_.workers == 0) options_.workers = 1;
   if (options_.max_in_flight == 0) options_.max_in_flight = 1;
   if (options_.io_threads == 0) options_.io_threads = 1;
-  if (options_.pipeline_batch_max == 0) options_.pipeline_batch_max = 1;
 }
 
 WireFrontEnd::~WireFrontEnd() { Shutdown(); }
@@ -282,9 +261,7 @@ void WireFrontEnd::OnConnEvent(const std::shared_ptr<Conn>& conn,
   if (ready &
       (EventLoop::kReadable | EventLoop::kHangup | EventLoop::kError)) {
     const BufferedSocket::IoResult fill = conn->bsock.Fill();
-    Batch gang;
-    const bool reading = ProcessFrames(conn, &gang);
-    FlushGang(&gang);
+    const bool reading = ProcessFrames(conn);
     if (conn->closed) return;
     if (reading && (fill == BufferedSocket::IoResult::kClosed ||
                     fill == BufferedSocket::IoResult::kError)) {
@@ -301,8 +278,7 @@ void WireFrontEnd::OnConnEvent(const std::shared_ptr<Conn>& conn,
   }
 }
 
-bool WireFrontEnd::ProcessFrames(const std::shared_ptr<Conn>& conn,
-                                 Batch* gang) {
+bool WireFrontEnd::ProcessFrames(const std::shared_ptr<Conn>& conn) {
   size_t frames = 0;
   for (;;) {
     if (conn->bsock.size() < protocol::kFramePrefixBytes) break;
@@ -327,7 +303,7 @@ bool WireFrontEnd::ProcessFrames(const std::shared_ptr<Conn>& conn,
     counters_.bytes_in.fetch_add(protocol::kFramePrefixBytes + len,
                                  std::memory_order_relaxed);
     ++frames;
-    if (!HandleFrame(conn, std::move(payload), gang)) {
+    if (!HandleFrame(conn, std::move(payload))) {
       StopReading(conn);
       return false;
     }
@@ -343,7 +319,7 @@ bool WireFrontEnd::ProcessFrames(const std::shared_ptr<Conn>& conn,
 }
 
 bool WireFrontEnd::HandleFrame(const std::shared_ptr<Conn>& conn,
-                               std::vector<uint8_t> payload, Batch* gang) {
+                               std::vector<uint8_t> payload) {
   Request req;
   req.conn = conn;
   req.payload = std::move(payload);
@@ -378,8 +354,7 @@ bool WireFrontEnd::HandleFrame(const std::shared_ptr<Conn>& conn,
     case MessageType::kKnn:
     case MessageType::kTableSample:
     case MessageType::kReload:
-      // kReload rides the worker path: non-gangable, so it lands in its
-      // own singleton batch behind admission control.
+      // kReload rides the worker path behind admission control.
       break;
     default:
       ReplyError(req,
@@ -425,19 +400,7 @@ bool WireFrontEnd::HandleFrame(const std::shared_ptr<Conn>& conn,
   }
   req.admitted = true;
   ++conn->admitted_open;
-
-  // Pipelining: contiguous gangable requests from this readiness event
-  // ride one batch; anything else executes alone (and splits the gang to
-  // preserve queue order).
-  if (!Gangable(req.header)) {
-    FlushGang(gang);
-    Batch single;
-    single.push_back(std::move(req));
-    EnqueueBatch(std::move(single));
-  } else {
-    gang->push_back(std::move(req));
-    if (gang->size() >= options_.pipeline_batch_max) FlushGang(gang);
-  }
+  workers_->Submit([this, r = std::move(req)]() mutable { Run(&r); });
   return true;
 }
 
@@ -457,17 +420,6 @@ void WireFrontEnd::HandleStats(const Request& req) {
   const protocol::ServerStatsSnapshot snapshot = Stats();
   Reply(req, Status::OK(), 0,
         [&](WireWriter* w) { protocol::EncodeServerStats(snapshot, w); });
-}
-
-void WireFrontEnd::FlushGang(Batch* gang) {
-  if (gang->empty()) return;
-  EnqueueBatch(std::move(*gang));
-  gang->clear();
-}
-
-void WireFrontEnd::EnqueueBatch(Batch batch) {
-  workers_->Submit(
-      [this, b = std::move(batch)]() mutable { RunBatch(&b); });
 }
 
 void WireFrontEnd::FlushConn(const std::shared_ptr<Conn>& conn) {
@@ -641,26 +593,19 @@ bool WireFrontEnd::Expired(const Request& req) const {
   return elapsed >= std::chrono::milliseconds(req.deadline_ms);
 }
 
-void WireFrontEnd::RunBatch(Batch* batch) {
-  // Counters and latency are finalized BEFORE a reply is enqueued, so a
+void WireFrontEnd::Run(Request* req) {
+  if (!Expired(*req)) {
+    backend_->Execute(req);
+    return;
+  }
+  // Counters and latency are finalized BEFORE the reply is enqueued, so a
   // client that has seen its reply always sees it reflected in a
   // subsequent stats request (no read-your-own-write race).
-  size_t live = 0;
-  for (size_t i = 0; i < batch->size(); ++i) {
-    Request& req = (*batch)[i];
-    if (Expired(req)) {
-      counters_.deadline_timeouts.fetch_add(1, std::memory_order_relaxed);
-      const Status expired =
-          Status::Unavailable("deadline expired before execution");
-      Finish(req, expired);
-      ReplyError(req, expired, 0);
-      continue;
-    }
-    if (i != live) (*batch)[live] = std::move(req);
-    ++live;
-  }
-  batch->resize(live);
-  if (!batch->empty()) backend_->Execute(batch);
+  counters_.deadline_timeouts.fetch_add(1, std::memory_order_relaxed);
+  const Status expired =
+      Status::Unavailable("deadline expired before execution");
+  Finish(*req, expired);
+  ReplyError(*req, expired, 0);
 }
 
 protocol::ServerStatsSnapshot WireFrontEnd::Stats() const {

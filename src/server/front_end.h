@@ -35,11 +35,11 @@ namespace mds {
 ///    are answered inline (they must work while the server is saturated),
 ///    the backend's Probe may answer a request inline (mdsd: response-cache
 ///    hits); everything else passes admission control and is handed to a
-///    worker — contiguous pipelined gangable requests from one readiness
-///    event travel as one batch when pipeline_batch_max > 1;
+///    worker as its own job — pipelined requests from one connection
+///    execute independently and reply in completion order;
 ///  - a queue-fed ThreadPool of at most `workers` threads (beyond
 ///    `workers_at_start`, started on demand) runs Backend::Execute on each
-///    batch; replies are posted back to the connection's loop, which
+///    request; replies are posted back to the connection's loop, which
 ///    flushes them with writev (no worker ever blocks on a slow client).
 ///
 /// Admission control: at most max_in_flight requests are in the system;
@@ -65,8 +65,6 @@ class WireFrontEnd {
     uint32_t default_deadline_ms = 0;
     uint32_t idle_timeout_ms = 30000;
     unsigned io_threads = 1;
-    /// Largest gang of pipelined requests handed to one Execute; 1 = none.
-    size_t pipeline_batch_max = 1;
     /// Treat the first N accepts as EMFILE failures (test hook).
     size_t debug_fail_first_accepts = 0;
   };
@@ -96,10 +94,6 @@ class WireFrontEnd {
     size_t body_size() const { return payload.size() - body_offset; }
   };
 
-  /// One work item: a gang of admitted requests from one connection
-  /// (a singleton unless pipelined requests were ganged).
-  using Batch = std::vector<Request>;
-
   /// One encoded reply, split for scatter-gather delivery: `head` is the
   /// frame prefix plus the message header (per-request: it carries the
   /// requester's id), `tail` is the refcounted payload after the header
@@ -120,10 +114,9 @@ class WireFrontEnd {
     virtual bool Probe(Request* /*req*/, ReplyFrame* /*reply*/) {
       return false;
     }
-    /// Worker thread: executes an admitted batch (expired requests already
-    /// answered and removed). Every request must be answered with Finish
-    /// followed by Send (or Reply / ReplyError).
-    virtual void Execute(Batch* batch) = 0;
+    /// Worker thread: executes one admitted, unexpired request. It must be
+    /// answered with Finish followed by Send (or Reply / ReplyError).
+    virtual void Execute(Request* req) = 0;
     /// Loop thread: served_rows, dim and bounds of a Health reply.
     virtual void FillHealth(protocol::HealthReply* reply) = 0;
     /// Any thread: adds backend fields and tails to a stats snapshot.
@@ -200,17 +193,15 @@ class WireFrontEnd {
   void RegisterConnection(IoLoop* home, std::shared_ptr<Conn> conn);
   void OnConnEvent(const std::shared_ptr<Conn>& conn, uint32_t ready);
   /// Parses complete frames out of the connection's read buffer,
-  /// dispatching each; gangs admitted requests. Returns false when reading
-  /// stopped (protocol violation).
-  bool ProcessFrames(const std::shared_ptr<Conn>& conn, Batch* gang);
+  /// dispatching each. Returns false when reading stopped (protocol
+  /// violation).
+  bool ProcessFrames(const std::shared_ptr<Conn>& conn);
   /// Dispatches one decoded frame payload. Returns false when the
   /// connection must stop reading (header violation).
   bool HandleFrame(const std::shared_ptr<Conn>& conn,
-                   std::vector<uint8_t> payload, Batch* gang);
+                   std::vector<uint8_t> payload);
   void HandleHealth(const Request& req);
   void HandleStats(const Request& req);
-  void FlushGang(Batch* gang);
-  void EnqueueBatch(Batch batch);
   void ArmIdleTimer(const std::shared_ptr<Conn>& conn);
   /// Flushes the connection's write queue, managing EPOLLOUT interest and
   /// the write-stall timer; closes on error.
@@ -234,8 +225,8 @@ class WireFrontEnd {
   void StopLoop(IoLoop* io);
 
   // --- worker path ---------------------------------------------------------
-  /// Answers the expired requests of a batch, then executes the rest.
-  void RunBatch(Batch* batch);
+  /// Answers an expired request, or hands it to Backend::Execute.
+  void Run(Request* req);
   bool Expired(const Request& req) const;
 
   Backend* const backend_;

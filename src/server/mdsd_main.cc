@@ -3,7 +3,7 @@
 //   mdsd [--port=N] [--n=ROWS] [--workers=N] [--max-in-flight=N]
 //        [--seed=N] [--quick] [--port-file=PATH]
 //        [--cache-bytes=N] [--no-cache]
-//        [--io-threads=N] [--pipeline-batch=N]
+//        [--io-threads=N]
 //        [--shard-index=I --shard-count=N]
 //        [--load=FILE]
 //
@@ -89,8 +89,6 @@ int main(int argc, char** argv) {
       server_config.cache_bytes = 0;
     } else if (ParseFlag(argv[i], "--io-threads", &v)) {
       server_config.io_threads = static_cast<unsigned>(std::stoul(v));
-    } else if (ParseFlag(argv[i], "--pipeline-batch", &v)) {
-      server_config.pipeline_batch_max = std::stoull(v);
     } else if (ParseFlag(argv[i], "--shard-index", &v)) {
       dataset_config.shard_index = static_cast<uint32_t>(std::stoul(v));
     } else if (ParseFlag(argv[i], "--shard-count", &v)) {
@@ -102,7 +100,7 @@ int main(int argc, char** argv) {
                    "usage: mdsd [--port=N] [--n=ROWS] [--workers=N] "
                    "[--max-in-flight=N] [--seed=N] [--quick] "
                    "[--port-file=PATH] [--cache-bytes=N] [--no-cache] "
-                   "[--io-threads=N] [--pipeline-batch=N] "
+                   "[--io-threads=N] "
                    "[--shard-index=I --shard-count=N] [--load=FILE]\n");
       return 2;
     }

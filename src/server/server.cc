@@ -7,7 +7,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/knn.h"
-#include "core/query_engine.h"
 #include "core/query_planner.h"
 
 namespace mds {
@@ -58,7 +57,6 @@ WireFrontEnd::Options FrontEndOptions(const ServerConfig& config) {
   options.default_deadline_ms = config.default_deadline_ms;
   options.idle_timeout_ms = config.idle_timeout_ms;
   options.io_threads = config.io_threads;
-  options.pipeline_batch_max = config.pipeline_batch_max;
   options.debug_fail_first_accepts = config.debug_fail_first_accepts;
   return options;
 }
@@ -72,14 +70,6 @@ QueryServer::QueryServer(std::shared_ptr<const ServedDataset> dataset,
                  ? std::make_unique<ResponseCache>(config.cache_bytes)
                  : nullptr),
       front_(this, FrontEndOptions(config)) {}
-
-QueryServer::QueryServer(const ServedDataset* dataset,
-                         const ServerConfig& config)
-    // Aliasing constructor with an empty owner: a non-owning shared_ptr,
-    // preserving the legacy caller-owns-the-dataset contract.
-    : QueryServer(std::shared_ptr<const ServedDataset>(
-                      std::shared_ptr<const void>(), dataset),
-                  config) {}
 
 QueryServer::~QueryServer() { Shutdown(); }
 
@@ -222,12 +212,7 @@ bool QueryServer::Probe(Request* req, WireFrontEnd::ReplyFrame* reply) {
   return true;
 }
 
-void QueryServer::Execute(Batch* batch) {
-  if (batch->size() > 1) {
-    HandleBatch(batch);
-    return;
-  }
-  Request* req = &(*batch)[0];
+void QueryServer::Execute(Request* req) {
   if (req->header.type == MessageType::kReload) {
     HandleReload(req);
   } else if (req->header.type == MessageType::kKnn) {
@@ -269,136 +254,6 @@ void QueryServer::HandleReload(Request* req) {
   FinishAndReply(
       *req, Status::OK(), 0, /*cacheable_reply=*/false,
       [&](WireWriter* w) { protocol::EncodeReloadReply(*result, w); });
-}
-
-void QueryServer::HandleBatch(Batch* batch) {
-  // One gang = contiguous pipelined cache-miss box-like requests from one
-  // connection. Each slot picks its access path with the planner's exact
-  // cost rule, then every chosen path runs through a single
-  // QueryEngine::ExecuteBatch call. Any slot that cannot take this fast
-  // path — decode error, no feasible path, or a failed
-  // execution — drops back to the exact single-request path, so replies
-  // are indistinguishable from sequential execution.
-  struct GangSlot {
-    Request* req = nullptr;
-    // The paths reference (not copy) their query geometry and RNG, so the
-    // slot owns all of it for the duration of ExecuteBatch.
-    std::unique_ptr<Rng> rng;
-    std::unique_ptr<Box> box;
-    std::unique_ptr<Polyhedron> poly;
-    std::vector<std::unique_ptr<AccessPath>> paths;
-    AccessPath* chosen = nullptr;
-    uint64_t limit = 0;
-  };
-
-  std::vector<GangSlot> slots(batch->size());
-  std::vector<AccessPath*> gang_paths;
-  std::vector<size_t> gang_slots;  // slot index per gang_paths entry
-
-  for (size_t i = 0; i < batch->size(); ++i) {
-    Request* req = &(*batch)[i];
-    GangSlot* slot = &slots[i];
-    slot->req = req;
-
-    WireReader r(req->body(), req->body_size());
-    const PointTableBinding& binding = Dataset(*req).binding();
-    if (req->header.type == MessageType::kTableSample) {
-      protocol::TableSampleRequest sample;
-      if (!DecodeTableSampleRequest(&r, &sample).ok() ||
-          !r.ExpectEnd().ok() || sample.lo.size() != Dataset(*req).dim()) {
-        ExecuteAndReplyBoxLike(req);  // exact sequential error handling
-        slot->req = nullptr;
-        continue;
-      }
-      slot->box = std::make_unique<Box>(sample.lo, sample.hi);
-      slot->rng = std::make_unique<Rng>(sample.seed);
-      slot->paths.push_back(std::make_unique<TableSamplePath>(
-          binding, *slot->box, sample.percent, sample.n, slot->rng.get()));
-      slot->chosen = slot->paths.back().get();
-    } else {
-      protocol::BoxQueryRequest query;
-      if (!DecodeBoxQueryRequest(&r, &query).ok() || !r.ExpectEnd().ok() ||
-          query.lo.size() != Dataset(*req).dim()) {
-        ExecuteAndReplyBoxLike(req);
-        slot->req = nullptr;
-        continue;
-      }
-      slot->limit = query.limit;
-      slot->box = std::make_unique<Box>(query.lo, query.hi);
-      slot->poly =
-          std::make_unique<Polyhedron>(Polyhedron::FromBox(*slot->box));
-      slot->paths.push_back(
-          std::make_unique<FullScanPath>(binding, *slot->box));
-      slot->paths.push_back(std::make_unique<KdTreePath>(
-          binding, Dataset(*req).tree(), *slot->poly));
-      // The planner's rule: cheapest feasible path by Estimate().Total(),
-      // ties to the earlier registration (full-scan before kd-tree).
-      double best_cost = 0.0;
-      for (const auto& path : slot->paths) {
-        if (!path->Validate().ok()) continue;
-        const CostEstimate estimate = path->Estimate();
-        if (!estimate.feasible) continue;
-        const double cost = estimate.Total();
-        if (slot->chosen == nullptr || cost < best_cost) {
-          slot->chosen = path.get();
-          best_cost = cost;
-        }
-      }
-      if (slot->chosen == nullptr) {
-        ExecuteAndReplyBoxLike(req);  // planner's no-feasible-path error
-        slot->req = nullptr;
-        continue;
-      }
-    }
-    gang_paths.push_back(slot->chosen);
-    gang_slots.push_back(i);
-  }
-
-  if (gang_paths.empty()) return;
-
-  // Inline on this worker (num_threads=1): parallelism across requests
-  // comes from the worker pool itself — the single MDS_QUERY_THREADS knob
-  // keeps bounding total execution concurrency.
-  QueryEngine::BatchOptions options;
-  options.num_threads = 1;
-  std::vector<QueryStats> stats;
-  std::vector<Result<StorageQueryResult>> results =
-      QueryEngine::ExecuteBatch(gang_paths, options, &stats);
-
-  for (size_t g = 0; g < results.size(); ++g) {
-    GangSlot* slot = &slots[gang_slots[g]];
-    Request* req = slot->req;
-    if (!results[g].ok()) {
-      // Rare (corruption, fault injection): re-run through the planner so
-      // the fallback-and-degrade policy — and the error text — match the
-      // sequential path exactly.
-      ExecuteAndReplyBoxLike(req);
-      continue;
-    }
-    StorageQueryResult result = std::move(*results[g]);
-    protocol::QueryReply reply;
-    reply.chosen_path = slot->chosen->name();
-    reply.row_count = result.objids.size();
-    if (req->header.type == MessageType::kBoxQuery ||
-        req->header.type == MessageType::kTableSample) {
-      reply.objids = std::move(result.objids);
-      if (slot->limit != 0 && reply.objids.size() > slot->limit) {
-        // The reply-size cap: first `limit` matches in clustered row
-        // order. (The scan itself is not truncated.)
-        reply.objids.resize(slot->limit);
-      }
-    }
-    reply.rows_scanned = stats[g].rows_scanned;
-    reply.pages_fetched = stats[g].pages_fetched;
-    reply.pages_read = stats[g].pages_read;
-    reply.pages_skipped = stats[g].pages_skipped;
-    reply.degraded = result.degraded;
-    const uint32_t flags = reply.degraded ? protocol::kFlagDegraded : 0;
-    FinishAndReply(
-        *req, Status::OK(), flags,
-        ReplyCacheable(Status::OK(), reply.degraded, reply.pages_skipped),
-        [&](WireWriter* w) { protocol::EncodeQueryReply(reply, w); });
-  }
 }
 
 Status QueryServer::ExecuteBoxLike(const Request& req,

@@ -42,10 +42,6 @@ struct ServerConfig {
   /// connections; more loops only help when frame parsing itself saturates
   /// a core.
   unsigned io_threads = 1;
-  /// Upper bound on contiguous pipelined cache-miss query requests from
-  /// one connection ganged into a single QueryEngine::ExecuteBatch call.
-  /// 1 disables ganging (every request executes alone).
-  size_t pipeline_batch_max = 64;
   /// Test hook: treat the first N accepted connections as if accept()
   /// had failed with EMFILE (close them, count accept_errors, back off).
   /// Exercises the fd-exhaustion path deterministically.
@@ -60,10 +56,9 @@ struct ServerConfig {
 ///  - the loop-thread probe pins the served dataset generation on each
 ///    query request and answers response-cache hits inline (a hit re-heads
 ///    the memoized reply under the requester's id; zero payload copies);
-///  - `num_workers` workers execute admitted batches through
-///    QueryPlanner/AccessPath over the shared BufferPool — contiguous
-///    pipelined cache misses (up to pipeline_batch_max) run through one
-///    QueryEngine::ExecuteBatch call — and run kReload hot swaps;
+///  - `num_workers` workers execute admitted requests, one at a time each:
+///    box-like queries through QueryPlanner/AccessPath over the shared
+///    BufferPool, kNN through the kd-tree searcher, and kReload hot swaps;
 ///  - Health reports the served generation's rows, dimension and bounds;
 ///    stats add buffer-pool, response-cache and dataset-epoch fields.
 ///
@@ -79,9 +74,6 @@ class QueryServer final : private WireFrontEnd::Backend {
   /// swaps the served generation mid-flight.
   QueryServer(std::shared_ptr<const ServedDataset> dataset,
               const ServerConfig& config);
-  /// Legacy non-owning form: `dataset` must outlive the server and every
-  /// in-flight request. Reload works only if a handler is set.
-  QueryServer(const ServedDataset* dataset, const ServerConfig& config);
   ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
@@ -136,14 +128,13 @@ class QueryServer final : private WireFrontEnd::Backend {
 
  private:
   using Request = WireFrontEnd::Request;
-  using Batch = WireFrontEnd::Batch;
 
   // --- WireFrontEnd::Backend -----------------------------------------------
   /// Pins the served generation on `req` and, on a response-cache hit,
   /// builds the re-headed reply. A miss tags the request to populate the
   /// cache once its reply is final.
   bool Probe(Request* req, WireFrontEnd::ReplyFrame* reply) override;
-  void Execute(Batch* batch) override;
+  void Execute(Request* req) override;
   void FillHealth(protocol::HealthReply* reply) override;
   void AddStats(protocol::ServerStatsSnapshot* stats) const override;
 
@@ -154,11 +145,6 @@ class QueryServer final : private WireFrontEnd::Backend {
 
   /// The box-like branch of Execute (planner execution + reply).
   void ExecuteAndReplyBoxLike(Request* req);
-  /// Executes a gang through one QueryEngine::ExecuteBatch call. Any slot
-  /// that cannot take the batch fast path (or fails on it) is re-run
-  /// through the exact single-request path, so replies are byte-identical
-  /// to sequential execution.
-  void HandleBatch(Batch* batch);
   /// Executes one admitted kReload request (worker thread; the load may
   /// take seconds and must never run on an I/O thread).
   void HandleReload(Request* req);

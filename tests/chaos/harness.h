@@ -35,8 +35,8 @@ class ChaosCluster {
   /// `shards[s]` lists the datasets of shard s's replicas (replicas of
   /// one shard share a dataset). Proxy i (in boot order) is seeded
   /// `seed + i`, so one campaign seed fixes every link's fault schedule.
-  ChaosCluster(std::vector<std::vector<ServedDataset*>> shards, uint64_t seed,
-               CoordinatorConfig config = {})
+  ChaosCluster(std::vector<std::vector<std::shared_ptr<ServedDataset>>> shards,
+               uint64_t seed, CoordinatorConfig config = {})
       : datasets_(std::move(shards)), seed_(seed), config_(config) {}
 
   ~ChaosCluster() { Shutdown(); }
@@ -57,7 +57,7 @@ class ChaosCluster {
       std::vector<BackendAddress> addrs;
       backends_.emplace_back();
       proxies_.emplace_back();
-      for (ServedDataset* dataset : datasets_[s]) {
+      for (const auto& dataset : datasets_[s]) {
         auto server = std::make_unique<QueryServer>(dataset, ServerConfig{});
         MDS_RETURN_NOT_OK(server->Start());
         auto proxy = std::make_unique<ChaosProxy>(
@@ -138,7 +138,7 @@ class ChaosCluster {
     FrameObserver fn;
   };
 
-  std::vector<std::vector<ServedDataset*>> datasets_;
+  std::vector<std::vector<std::shared_ptr<ServedDataset>>> datasets_;
   uint64_t seed_;
   CoordinatorConfig config_;
   std::vector<PendingObserver> pending_observers_;

@@ -125,7 +125,7 @@ class ChaosCampaignTest : public ::testing::Test {
       config.shard_count = kShards;
       auto built = ServedDataset::Build(config);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
-      shard_[s] = new ServedDataset(std::move(*built));
+      shard_[s] = std::make_shared<ServedDataset>(std::move(*built));
     }
     BuildShapes();
   }
@@ -133,10 +133,7 @@ class ChaosCampaignTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete shapes_;
     shapes_ = nullptr;
-    for (auto& d : shard_) {
-      delete d;
-      d = nullptr;
-    }
+    for (auto& d : shard_) d.reset();
   }
 
   static Box LocusBox(double half_width) {
@@ -436,11 +433,11 @@ class ChaosCampaignTest : public ::testing::Test {
               (requests / kWorkers) * kWorkers);
   }
 
-  static ServedDataset* shard_[kShards];
+  static std::shared_ptr<ServedDataset> shard_[kShards];
   static std::vector<Shape>* shapes_;
 };
 
-ServedDataset* ChaosCampaignTest::shard_[ChaosCampaignTest::kShards] = {};
+std::shared_ptr<ServedDataset> ChaosCampaignTest::shard_[ChaosCampaignTest::kShards];
 std::vector<ChaosCampaignTest::Shape>* ChaosCampaignTest::shapes_ = nullptr;
 
 // --- the five-mix seeded campaign ------------------------------------------

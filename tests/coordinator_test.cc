@@ -184,13 +184,13 @@ class CoordinatorTest : public ::testing::Test {
   }
 
   static void TearDownTestSuite() {
-    delete single_;
-    single_ = nullptr;
-    for (auto& d : shard2_) { delete d; d = nullptr; }
-    for (auto& d : shard4_) { delete d; d = nullptr; }
+    single_.reset();
+    for (auto& d : shard2_) d.reset();
+    for (auto& d : shard4_) d.reset();
   }
 
-  static ServedDataset* BuildShard(uint32_t index, uint32_t count) {
+  static std::shared_ptr<ServedDataset> BuildShard(uint32_t index,
+                                                   uint32_t count) {
     DatasetConfig config;
     config.num_rows = kRows;
     config.seed = kSeed;
@@ -198,7 +198,8 @@ class CoordinatorTest : public ::testing::Test {
     config.shard_count = count;
     auto built = ServedDataset::Build(config);
     EXPECT_TRUE(built.ok()) << built.status().ToString();
-    return built.ok() ? new ServedDataset(std::move(*built)) : nullptr;
+    return built.ok() ? std::make_shared<ServedDataset>(std::move(*built))
+                      : nullptr;
   }
 
   /// In-process topology: one mdsd QueryServer per (shard, replica) plus
@@ -220,13 +221,13 @@ class CoordinatorTest : public ::testing::Test {
   };
 
   static Topology Start(
-      const std::vector<std::vector<ServedDataset*>>& shards,
+      const std::vector<std::vector<std::shared_ptr<ServedDataset>>>& shards,
       CoordinatorConfig config = {}) {
     Topology t;
     ShardMap map;
     for (const auto& replicas : shards) {
       std::vector<BackendAddress> addrs;
-      for (ServedDataset* dataset : replicas) {
+      for (const auto& dataset : replicas) {
         auto server =
             std::make_unique<QueryServer>(dataset, ServerConfig{});
         EXPECT_TRUE(server->Start().ok());
@@ -346,7 +347,7 @@ class CoordinatorTest : public ::testing::Test {
 
   // --- 2-shard geometry, for the pruning tests ---------------------------
 
-  static const Box& Bounds(const ServedDataset* d) {
+  static const Box& Bounds(const std::shared_ptr<ServedDataset>& d) {
     return d->tree().root().bounds;
   }
 
@@ -376,7 +377,8 @@ class CoordinatorTest : public ::testing::Test {
 
   /// The row of `shard` with the extreme split-axis coordinate (the max for
   /// shard 0, the min for shard 1): the rows either side of the split.
-  static std::vector<double> EdgeRow(const ServedDataset* shard, bool max) {
+  static std::vector<double> EdgeRow(const std::shared_ptr<ServedDataset>& shard,
+                                     bool max) {
     const size_t axis = SplitAxis();
     const PointSet& points = shard->points();
     const auto& ids = shard->tree().clustered_order();
@@ -543,25 +545,25 @@ class CoordinatorTest : public ::testing::Test {
     ExpectSameRows(*top_p, *top_b);
   }
 
-  static ServedDataset* single_;
-  static ServedDataset* shard2_[2];
-  static ServedDataset* shard4_[4];
+  static std::shared_ptr<ServedDataset> single_;
+  static std::shared_ptr<ServedDataset> shard2_[2];
+  static std::shared_ptr<ServedDataset> shard4_[4];
 };
 
-ServedDataset* CoordinatorTest::single_ = nullptr;
-ServedDataset* CoordinatorTest::shard2_[2] = {};
-ServedDataset* CoordinatorTest::shard4_[4] = {};
+std::shared_ptr<ServedDataset> CoordinatorTest::single_;
+std::shared_ptr<ServedDataset> CoordinatorTest::shard2_[2];
+std::shared_ptr<ServedDataset> CoordinatorTest::shard4_[4];
 
 // --- parity ----------------------------------------------------------------
 
 TEST_F(CoordinatorTest, ShardedDatasetsPartitionTheCatalog) {
   ASSERT_NE(single_, nullptr);
   uint64_t total2 = 0, total4 = 0;
-  for (auto* d : shard2_) { ASSERT_NE(d, nullptr); total2 += d->num_rows(); }
-  for (auto* d : shard4_) { ASSERT_NE(d, nullptr); total4 += d->num_rows(); }
+  for (const auto& d : shard2_) { ASSERT_NE(d, nullptr); total2 += d->num_rows(); }
+  for (const auto& d : shard4_) { ASSERT_NE(d, nullptr); total4 += d->num_rows(); }
   EXPECT_EQ(total2, single_->num_rows());
   EXPECT_EQ(total4, single_->num_rows());
-  for (auto* d : shard4_) EXPECT_LT(d->num_rows(), single_->num_rows());
+  for (const auto& d : shard4_) EXPECT_LT(d->num_rows(), single_->num_rows());
 }
 
 TEST_F(CoordinatorTest, TwoShardParityWithSingleServer) {
@@ -1052,8 +1054,8 @@ TEST_F(CoordinatorTest, KnnBeyondTheHomeShardVisitsEveryShard) {
 /// Writes `points` as 2-way shard files plus an unsharded file and loads
 /// them: a hand-placed catalogue whose distances are exact in float.
 struct TinyCatalogue {
-  std::unique_ptr<ServedDataset> single;
-  std::unique_ptr<ServedDataset> shards[2];
+  std::shared_ptr<ServedDataset> single;
+  std::shared_ptr<ServedDataset> shards[2];
 };
 
 TinyCatalogue LoadTinyCatalogue(const PointSet& points, const std::string& tag) {
@@ -1075,7 +1077,7 @@ TinyCatalogue LoadTinyCatalogue(const PointSet& points, const std::string& tag) 
       EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
       std::remove(path.c_str());
       if (!loaded.ok()) return out;
-      auto dataset = std::make_unique<ServedDataset>(std::move(*loaded));
+      auto dataset = std::make_shared<ServedDataset>(std::move(*loaded));
       if (count == 1) {
         out.single = std::move(dataset);
       } else {
@@ -1114,12 +1116,12 @@ TEST_F(CoordinatorTest, KnnTieAtTheKthDistanceAcrossShardsIsVisited) {
 
     TinyCatalogue tiny = LoadTinyCatalogue(points, b_first ? "tie_b" : "tie_a");
     ASSERT_NE(tiny.shards[1], nullptr);
-    ASSERT_EQ(Bounds(tiny.shards[0].get()).MinSquaredDistance(probe.data()), 0.0);
-    ASSERT_EQ(Bounds(tiny.shards[1].get()).MinSquaredDistance(probe.data()), 4.0);
+    ASSERT_EQ(Bounds(tiny.shards[0]).MinSquaredDistance(probe.data()), 0.0);
+    ASSERT_EQ(Bounds(tiny.shards[1]).MinSquaredDistance(probe.data()), 4.0);
 
-    QueryServer single(tiny.single.get(), ServerConfig{});
+    QueryServer single(tiny.single, ServerConfig{});
     ASSERT_TRUE(single.Start().ok());
-    Topology t = Start({{tiny.shards[0].get()}, {tiny.shards[1].get()}});
+    Topology t = Start({{tiny.shards[0]}, {tiny.shards[1]}});
     QueryClient pruned = MustConnect(t.coordinator->port());
     BroadcastClient broadcast = Broadcast(t);
     QueryClient via_single = MustConnect(single.port());
@@ -1187,8 +1189,9 @@ TEST_F(CoordinatorTest, ReloadRestampsShardBounds) {
   DatasetConfig next_config;
   next_config.num_rows = 12000;
   next_config.seed = 8;
-  auto next_single = ServedDataset::Build(next_config);
-  ASSERT_TRUE(next_single.ok());
+  auto next_built = ServedDataset::Build(next_config);
+  ASSERT_TRUE(next_built.ok());
+  auto next_single = std::make_shared<ServedDataset>(std::move(*next_built));
 
   Topology t = Start({{shard2_[0]}, {shard2_[1]}});
   for (uint32_t s = 0; s < 2; ++s) {
@@ -1215,7 +1218,7 @@ TEST_F(CoordinatorTest, ReloadRestampsShardBounds) {
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(health->bounds, next_single->tree().root().bounds);
 
-  QueryServer single(&*next_single, ServerConfig{});
+  QueryServer single(next_single, ServerConfig{});
   ASSERT_TRUE(single.Start().ok());
   BroadcastClient broadcast = Broadcast(t);
   QueryClient via_single = MustConnect(single.port());

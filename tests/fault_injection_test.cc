@@ -284,7 +284,9 @@ TEST(FaultCampaignTest, AtomicSaveSurvivesFaultAtEveryOpIndex) {
   const KdTreeIndex& tree = *built;
 
   MemPager base;
-  FaultInjectionPager faulty(&base, FaultConfig::kUnlimited);
+  FaultConfig budget;
+  budget.fail_after = FaultConfig::kUnlimited;
+  FaultInjectionPager faulty(&base, budget);
 
   // Fault-free save of the "previous" index, and the op budget one save
   // consumes.

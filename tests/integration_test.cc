@@ -5,7 +5,7 @@
 #include "cluster/basin_spanning_tree.h"
 #include "common/rng.h"
 #include "core/point_table.h"
-#include "core/query_engine.h"
+#include "core/access_path.h"
 #include "linalg/pca.h"
 #include "photoz/knn_photoz.h"
 #include "sdss/catalog.h"
@@ -83,10 +83,12 @@ TEST(IntegrationTest, AllIndexPathsAgreeOnPolyhedronQueries) {
     PointTableBinding kd_binding = BindPointTable(&*kd_table, kNumBands);
     PointTableBinding vo_binding = BindPointTable(&*vo_table, kNumBands);
     PointTableBinding heap_binding = BindPointTable(&*heap_table, kNumBands);
-    auto kd_res = StorageQueryExecutor::ExecuteKdPlan(kd_binding, *tree, poly);
-    auto vo_res =
-        StorageQueryExecutor::ExecuteVoronoi(vo_binding, *voronoi, poly);
-    auto scan_res = StorageQueryExecutor::FullScan(heap_binding, poly);
+    KdTreePath kd_path(kd_binding, *tree, poly);
+    VoronoiPath vo_path(vo_binding, *voronoi, poly);
+    FullScanPath scan_path(heap_binding, poly);
+    auto kd_res = ExecuteAccessPath(&kd_path);
+    auto vo_res = ExecuteAccessPath(&vo_path);
+    auto scan_res = ExecuteAccessPath(&scan_path);
     ASSERT_TRUE(kd_res.ok());
     ASSERT_TRUE(vo_res.ok());
     ASSERT_TRUE(scan_res.ok());

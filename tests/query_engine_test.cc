@@ -51,7 +51,8 @@ TEST_F(QueryEngineTest, FullScanMatchesBruteForce) {
   PointTableBinding binding = BindPointTable(&*table, 3);
   Polyhedron poly =
       Polyhedron::BallApproximation({0.4, 0.4, 0.4}, 0.1, 10);
-  auto result = StorageQueryExecutor::FullScan(binding, poly);
+  FullScanPath path(binding, poly);
+  auto result = ExecuteAccessPath(&path);
   ASSERT_TRUE(result.ok());
   std::vector<int64_t> got = result->objids;
   std::sort(got.begin(), got.end());
@@ -71,20 +72,23 @@ TEST_F(QueryEngineTest, KdPlanMatchesAndReadsFewerPages) {
   // the kd-tree wins by a wide margin.
   Polyhedron poly =
       Polyhedron::BallApproximation({0.8, 0.8, 0.8}, 0.06, 20);
-  auto kd = StorageQueryExecutor::ExecuteKdPlan(binding, *tree, poly);
+  KdTreePath kd_path(binding, *tree, poly);
+  auto kd = ExecuteAccessPath(&kd_path);
   ASSERT_TRUE(kd.ok());
   // objids from the kd path are original ids; brute force uses originals.
   std::vector<int64_t> got = kd->objids;
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, BruteForce(points_, poly));
 
-  auto scan = StorageQueryExecutor::FullScan(binding, poly);
+  FullScanPath scan_path(binding, poly);
+  auto scan = ExecuteAccessPath(&scan_path);
   ASSERT_TRUE(scan.ok());
   EXPECT_LT(kd->rows_scanned, scan.MoveValue().rows_scanned / 4);
 
   // A non-selective query still returns the exact answer.
   Polyhedron big = Polyhedron::BallApproximation({0.4, 0.4, 0.4}, 0.3, 12);
-  auto kd_big = StorageQueryExecutor::ExecuteKdPlan(binding, *tree, big);
+  KdTreePath big_path(binding, *tree, big);
+  auto kd_big = ExecuteAccessPath(&big_path);
   ASSERT_TRUE(kd_big.ok());
   std::vector<int64_t> got_big = kd_big->objids;
   std::sort(got_big.begin(), got_big.end());
@@ -100,7 +104,8 @@ TEST_F(QueryEngineTest, KdPlanPageIoSmallForSelectiveQuery) {
   PointTableBinding binding = BindPointTable(&*table, 3);
   Polyhedron poly =
       Polyhedron::BallApproximation({0.8, 0.8, 0.8}, 0.05, 20);
-  auto kd = StorageQueryExecutor::ExecuteKdPlan(binding, *tree, poly);
+  KdTreePath path(binding, *tree, poly);
+  auto kd = ExecuteAccessPath(&path);
   ASSERT_TRUE(kd.ok());
   EXPECT_LT(kd->pages_fetched, table->num_pages() / 2);
 }
@@ -116,14 +121,16 @@ TEST_F(QueryEngineTest, VoronoiExecutionMatches) {
   PointTableBinding binding = BindPointTable(&*table, 3);
   Polyhedron poly =
       Polyhedron::BallApproximation({0.5, 0.5, 0.5}, 0.2, 14);
-  VoronoiQueryStats stats;
-  auto result =
-      StorageQueryExecutor::ExecuteVoronoi(binding, *index, poly, &stats);
+  VoronoiPath path(binding, *index, poly);
+  QueryStats stats;
+  auto result = ExecuteAccessPath(&path, &stats);
   ASSERT_TRUE(result.ok());
   std::vector<int64_t> got = result->objids;
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, BruteForce(points_, poly));
-  EXPECT_EQ(stats.cells_inside + stats.cells_outside + stats.cells_partial,
+  // Every cell is classified exactly once: inside (full), outside
+  // (pruned) or partial.
+  EXPECT_EQ(stats.cells_full + stats.cells_pruned + stats.cells_partial,
             index->num_seeds());
 }
 
@@ -136,10 +143,13 @@ TEST_F(QueryEngineTest, GridSampleDeliversAndReadsFewPages) {
   PointTableBinding binding = BindPointTable(&*table, 3);
 
   Box q({0.3, 0.3, 0.3}, {0.5, 0.5, 0.5});
-  GridQueryStats grid_stats;
-  auto result =
-      StorageQueryExecutor::GridSample(binding, *index, q, 500, &grid_stats);
+  GridSamplePath path(binding, *index, q, 500);
+  QueryStats stats;
+  auto result = ExecuteAccessPath(&path, &stats);
   ASSERT_TRUE(result.ok());
+  // One plan step per layer visited; every returned row was emitted.
+  EXPECT_GE(stats.plan_steps, 1u);
+  EXPECT_EQ(stats.rows_emitted, result->objids.size());
   EXPECT_GE(result->objids.size(), 500u);
   for (int64_t objid : result->objids) {
     EXPECT_TRUE(q.Contains(points_.point(static_cast<uint64_t>(objid))));
@@ -164,8 +174,8 @@ TEST_F(QueryEngineTest, TableSampleTopNStopsEarly) {
   PointTableBinding binding = BindPointTable(&*table, 3);
   Rng rng(13);
   Box q({0.0, 0.0, 0.0}, {1.0, 1.0, 1.0});
-  auto result =
-      StorageQueryExecutor::TableSampleTopN(binding, q, 50.0, 100, rng);
+  TableSamplePath path(binding, q, 50.0, 100, &rng);
+  auto result = ExecuteAccessPath(&path);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->objids.size(), 100u);
   EXPECT_LT(result->rows_scanned, points_.size());
@@ -184,8 +194,8 @@ TEST_F(QueryEngineTest, TableSampleUndersamplesSmallBoxes) {
     if (q.Contains(points_.point(i))) ++population;
   }
   ASSERT_GT(population, 200u);
-  auto result =
-      StorageQueryExecutor::TableSampleTopN(binding, q, 1.0, 200, rng);
+  TableSamplePath path(binding, q, 1.0, 200, &rng);
+  auto result = ExecuteAccessPath(&path);
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result->objids.size(), 200u);
 }
@@ -203,8 +213,9 @@ TEST_F(QueryEngineTest, ObjIdSecondaryIndexJoinsBack) {
   EXPECT_EQ(objid_index->num_entries(), points_.size());
 
   Polyhedron poly = Polyhedron::BallApproximation({0.4, 0.4, 0.4}, 0.05, 12);
-  auto result = StorageQueryExecutor::ExecuteKdPlan(
-      BindPointTable(&*table, 3), *tree, poly);
+  PointTableBinding binding = BindPointTable(&*table, 3);
+  KdTreePath path(binding, *tree, poly);
+  auto result = ExecuteAccessPath(&path);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->objids.empty());
   float coords[3];
@@ -227,7 +238,8 @@ TEST_F(QueryEngineTest, DimensionMismatchRejected) {
   ASSERT_TRUE(table.ok());
   PointTableBinding binding = BindPointTable(&*table, 3);
   Polyhedron poly2(2);
-  EXPECT_FALSE(StorageQueryExecutor::FullScan(binding, poly2).ok());
+  FullScanPath path(binding, poly2);
+  EXPECT_FALSE(ExecuteAccessPath(&path).ok());
 }
 
 TEST_F(QueryEngineTest, ExecuteBatchPreservesSiblingsOnFailure) {

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -41,12 +42,11 @@ class ReplyPathTest : public ::testing::Test {
     config.num_rows = 150000;
     auto built = ServedDataset::Build(config);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
-    dataset_ = new ServedDataset(std::move(*built));
+    dataset_ = std::make_shared<ServedDataset>(std::move(*built));
   }
 
   static void TearDownTestSuite() {
-    delete dataset_;
-    dataset_ = nullptr;
+    dataset_.reset();
   }
 
   static Socket MustConnectRaw(const QueryServer& server) {
@@ -113,10 +113,10 @@ class ReplyPathTest : public ::testing::Test {
     return frame;
   }
 
-  static ServedDataset* dataset_;
+  static std::shared_ptr<ServedDataset> dataset_;
 };
 
-ServedDataset* ReplyPathTest::dataset_ = nullptr;
+std::shared_ptr<ServedDataset> ReplyPathTest::dataset_;
 
 // Satellite bugfix #1: a cache hit is the SAME bytes as the miss that
 // populated it. Sending the identical request frame twice (same request

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -335,7 +336,7 @@ class ServerProtocolTest : public ::testing::Test {
     config.num_rows = 20000;
     auto built = ServedDataset::Build(config);
     ASSERT_TRUE(built.ok());
-    dataset_ = new ServedDataset(std::move(*built));
+    dataset_ = std::make_shared<ServedDataset>(std::move(*built));
 
     ServerConfig server_config;
     server_config.num_workers = 2;
@@ -350,7 +351,7 @@ class ServerProtocolTest : public ::testing::Test {
       shard.shard_count = 2;
       auto part = ServedDataset::Build(shard);
       ASSERT_TRUE(part.ok());
-      shards_[i] = new ServedDataset(std::move(*part));
+      shards_[i] = std::make_shared<ServedDataset>(std::move(*part));
       shard_servers_[i] = new QueryServer(shards_[i], ServerConfig{});
       ASSERT_TRUE(shard_servers_[i]->Start().ok());
       map.shards.push_back({{"127.0.0.1", shard_servers_[i]->port()}});
@@ -368,15 +369,13 @@ class ServerProtocolTest : public ::testing::Test {
     for (uint32_t i = 0; i < 2; ++i) {
       shard_servers_[i]->Shutdown();
       delete shard_servers_[i];
-      delete shards_[i];
       shard_servers_[i] = nullptr;
-      shards_[i] = nullptr;
+      shards_[i].reset();
     }
     server_->Shutdown();
     delete server_;
-    delete dataset_;
     server_ = nullptr;
-    dataset_ = nullptr;
+    dataset_.reset();
   }
 
   /// True when the peer closed the connection (any read failure short of
@@ -387,16 +386,16 @@ class ServerProtocolTest : public ::testing::Test {
     return !st.ok() && st.code() != StatusCode::kUnavailable;
   }
 
-  static ServedDataset* dataset_;
+  static std::shared_ptr<ServedDataset> dataset_;
   static QueryServer* server_;
-  static ServedDataset* shards_[2];
+  static std::shared_ptr<ServedDataset> shards_[2];
   static QueryServer* shard_servers_[2];
   static Coordinator* coordinator_;
 };
 
-ServedDataset* ServerProtocolTest::dataset_ = nullptr;
+std::shared_ptr<ServedDataset> ServerProtocolTest::dataset_;
 QueryServer* ServerProtocolTest::server_ = nullptr;
-ServedDataset* ServerProtocolTest::shards_[2] = {nullptr, nullptr};
+std::shared_ptr<ServedDataset> ServerProtocolTest::shards_[2];
 QueryServer* ServerProtocolTest::shard_servers_[2] = {nullptr, nullptr};
 Coordinator* ServerProtocolTest::coordinator_ = nullptr;
 

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,12 +32,11 @@ class ServerTest : public ::testing::Test {
     config.num_rows = 50000;
     auto built = ServedDataset::Build(config);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
-    dataset_ = new ServedDataset(std::move(*built));
+    dataset_ = std::make_shared<ServedDataset>(std::move(*built));
   }
 
   static void TearDownTestSuite() {
-    delete dataset_;
-    dataset_ = nullptr;
+    dataset_.reset();
   }
 
   static QueryClient MustConnect(const QueryServer& server) {
@@ -69,10 +69,10 @@ class ServerTest : public ::testing::Test {
     return out;
   }
 
-  static ServedDataset* dataset_;
+  static std::shared_ptr<ServedDataset> dataset_;
 };
 
-ServedDataset* ServerTest::dataset_ = nullptr;
+std::shared_ptr<ServedDataset> ServerTest::dataset_;
 
 TEST_F(ServerTest, HealthAndPointCountAndBoxQueryMatchEngine) {
   QueryServer server(dataset_, ServerConfig{});
@@ -465,14 +465,28 @@ TEST_F(ServerTest, GracefulDrainCompletesAdmittedRejectsNew) {
   ASSERT_TRUE(server.Start().ok());
 
   // In-flight work across several connections while the drain lands.
+  // Every connection is open and accepted before the first request: a
+  // connect racing RequestDrain would be refused, and the drain must land
+  // on live connections.
+  std::vector<QueryClient> clients;
+  for (int t = 0; t < 4; ++t) {
+    auto client = QueryClient::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok());
+    clients.push_back(std::move(*client));
+  }
+  const auto accept_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.Stats().connections_accepted < clients.size() &&
+         std::chrono::steady_clock::now() < accept_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
   std::atomic<bool> drain_requested{false};
   std::atomic<uint64_t> completed{0};
   std::atomic<uint64_t> rejected{0};
   std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&] {
-      auto client = QueryClient::Connect("127.0.0.1", server.port());
-      ASSERT_TRUE(client.ok());
+  for (QueryClient& c : clients) {
+    workers.emplace_back([&, client = &c] {
       for (int i = 0; i < 10; ++i) {
         auto r = client->PointCount(LocusBox(1.0));
         if (r.ok()) {
@@ -575,62 +589,84 @@ TEST_F(ServerTest, ShutdownIsIdempotentAndRestartFreesPort) {
 TEST_F(ServerTest, PipelinedBatchMatchesSequentialExactly) {
   // Pipelining parity: k pipelined requests must produce, slot for slot,
   // exactly the replies of k sequential round trips — same objids, same
-  // chosen access path, same I/O accounting — whether the server ganged
-  // them into one ExecuteBatch call or not. Cache off, so every request
-  // truly executes.
-  ServerConfig config;
-  config.num_workers = 2;
-  QueryServer server(dataset_, config);
-  ASSERT_TRUE(server.Start().ok());
-
+  // chosen access path, same I/O accounting — however the workers
+  // interleave them. Cache off, so every request truly executes. The
+  // bursts: 12 boxes, 100 boxes, and the 100 again pinned to the kd-tree;
+  // each at 1 worker (strictly one at a time) and 4 (interleaved).
   std::vector<Box> boxes;
   for (int i = 0; i < 12; ++i) {
     boxes.push_back(LocusBox(0.2 + 0.1 * i));  // selective through wide
   }
+  std::vector<Box> burst;
+  for (int i = 0; i < 100; ++i) burst.push_back(LocusBox(0.05 + 0.012 * i));
+  QueryClient::Options hinted;
+  hinted.force_index = true;
 
-  QueryClient sequential = MustConnect(server);
-  std::vector<QueryClient::QueryResult> expected;
-  for (const Box& box : boxes) {
-    auto r = sequential.BoxQuery(box);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    expected.push_back(std::move(*r));
-  }
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE("num_workers " + std::to_string(workers));
+    ServerConfig config;
+    config.num_workers = workers;
+    config.max_in_flight = 256;  // admits a whole 100-request burst
+    QueryServer server(dataset_, config);
+    ASSERT_TRUE(server.Start().ok());
+    QueryClient sequential = MustConnect(server);
+    QueryClient pipelined = MustConnect(server);
 
-  QueryClient pipelined = MustConnect(server);
-  auto got = pipelined.BoxQueryPipeline(boxes);
-  ASSERT_EQ(got.size(), boxes.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_TRUE(got[i].ok()) << i << ": " << got[i].status().ToString();
-    EXPECT_EQ(got[i]->row_count, expected[i].row_count) << i;
-    EXPECT_EQ(got[i]->objids, expected[i].objids) << i;
-    EXPECT_EQ(got[i]->chosen_path, expected[i].chosen_path) << i;
-    EXPECT_EQ(got[i]->rows_scanned, expected[i].rows_scanned) << i;
-    EXPECT_EQ(got[i]->pages_fetched, expected[i].pages_fetched) << i;
-    EXPECT_EQ(got[i]->pages_read, expected[i].pages_read) << i;
-    EXPECT_EQ(got[i]->degraded, expected[i].degraded) << i;
-  }
+    auto expect_parity = [&](const std::vector<Box>& in,
+                             const QueryClient::Options& options) {
+      std::vector<QueryClient::QueryResult> expected;
+      for (const Box& box : in) {
+        auto r = sequential.BoxQuery(box, 0, options);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        expected.push_back(std::move(*r));
+      }
+      auto got = pipelined.BoxQueryPipeline(in, 0, options);
+      ASSERT_EQ(got.size(), in.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(got[i].ok()) << i << ": " << got[i].status().ToString();
+        EXPECT_EQ(got[i]->row_count, expected[i].row_count) << i;
+        EXPECT_EQ(got[i]->objids, expected[i].objids) << i;
+        EXPECT_EQ(got[i]->chosen_path, expected[i].chosen_path) << i;
+        EXPECT_EQ(got[i]->rows_scanned, expected[i].rows_scanned) << i;
+        EXPECT_EQ(got[i]->pages_fetched, expected[i].pages_fetched) << i;
+        EXPECT_EQ(got[i]->pages_read, expected[i].pages_read) << i;
+        EXPECT_EQ(got[i]->degraded, expected[i].degraded) << i;
+      }
+    };
+    expect_parity(boxes, {});
+    expect_parity(burst, {});
+    expect_parity(burst, hinted);
 
-  // PointCount rides the same path; limits apply per slot.
-  auto counts = pipelined.PointCountPipeline(boxes);
-  ASSERT_EQ(counts.size(), boxes.size());
-  for (size_t i = 0; i < counts.size(); ++i) {
-    ASSERT_TRUE(counts[i].ok()) << i;
-    EXPECT_EQ(*counts[i], expected[i].row_count) << i;
-  }
-  auto limited = pipelined.BoxQueryPipeline(boxes, 2);
-  ASSERT_EQ(limited.size(), boxes.size());
-  for (size_t i = 0; i < limited.size(); ++i) {
-    ASSERT_TRUE(limited[i].ok()) << i;
-    const size_t want =
-        std::min<size_t>(2, static_cast<size_t>(expected[i].row_count));
-    ASSERT_EQ(limited[i]->objids.size(), want) << i;
-    EXPECT_TRUE(std::equal(limited[i]->objids.begin(),
-                           limited[i]->objids.end(),
-                           expected[i].objids.begin()))
-        << i;
-  }
+    // PointCount rides the same path; limits apply per slot.
+    std::vector<uint64_t> expected_rows;
+    std::vector<std::vector<int64_t>> expected_ids;
+    for (const Box& box : boxes) {
+      auto r = sequential.BoxQuery(box);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      expected_rows.push_back(r->row_count);
+      expected_ids.push_back(std::move(r->objids));
+    }
+    auto counts = pipelined.PointCountPipeline(boxes);
+    ASSERT_EQ(counts.size(), boxes.size());
+    for (size_t i = 0; i < counts.size(); ++i) {
+      ASSERT_TRUE(counts[i].ok()) << i;
+      EXPECT_EQ(*counts[i], expected_rows[i]) << i;
+    }
+    auto limited = pipelined.BoxQueryPipeline(boxes, 2);
+    ASSERT_EQ(limited.size(), boxes.size());
+    for (size_t i = 0; i < limited.size(); ++i) {
+      ASSERT_TRUE(limited[i].ok()) << i;
+      const size_t want =
+          std::min<size_t>(2, static_cast<size_t>(expected_rows[i]));
+      ASSERT_EQ(limited[i]->objids.size(), want) << i;
+      EXPECT_TRUE(std::equal(limited[i]->objids.begin(),
+                             limited[i]->objids.end(),
+                             expected_ids[i].begin()))
+          << i;
+    }
 
-  server.Shutdown();
+    server.Shutdown();
+  }
 }
 
 TEST_F(ServerTest, PipelinedErrorsFailOnlyTheirSlot) {
@@ -661,8 +697,8 @@ TEST_F(ServerTest, PipelinedErrorsFailOnlyTheirSlot) {
 
 TEST_F(ServerTest, PipelinedBurstMixingCacheHitsAndMisses) {
   // With the response cache on, a pipelined burst can contain slots the
-  // I/O thread answers inline (hits) interleaved with slots that gang to
-  // a worker (misses). Every slot must still get its answer and the
+  // I/O thread answers inline (hits) interleaved with slots that go to
+  // the workers (misses). Every slot must still get its answer and the
   // connection must survive — the mdsd default configuration runs with
   // the cache enabled, so this is the production shape of a burst.
   ServerConfig config;

@@ -67,7 +67,9 @@ TEST(MemPagerTest, Basics) {
 
 TEST(FaultInjectionPagerTest, FailsAfterBudget) {
   MemPager base;
-  FaultInjectionPager pager(&base, 2);
+  FaultConfig budget;
+  budget.fail_after = 2;
+  FaultInjectionPager pager(&base, budget);
   Page page;
   auto a = pager.AllocatePage();
   ASSERT_TRUE(a.ok());
@@ -252,7 +254,9 @@ TEST(TableTest, RowTooLargeRejected) {
 
 TEST(TableTest, IoErrorPropagates) {
   MemPager base;
-  FaultInjectionPager faulty(&base, 1000000);
+  FaultConfig budget;
+  budget.fail_after = 1000000;
+  FaultInjectionPager faulty(&base, budget);
   BufferPool pool(&faulty, 4);
   auto table = Table::Create(&pool, TestSchema());
   ASSERT_TRUE(table.ok());
