@@ -1,6 +1,6 @@
 // Thread-scaling of the parallel query machinery (DESIGN.md "Concurrency
 // model"): intra-query ParallelRangeScanner speedup, inter-query
-// ExecuteBatch throughput and the parallel kd-tree build, at 1/2/4/8
+// ParallelFor batch throughput and the parallel kd-tree build, at 1/2/4/8
 // workers over one shared lock-striped BufferPool. Correctness is asserted
 // inline: every parallel execution must return the serial objid sequence,
 // and (limit == 0) the identical pages_fetched count.
@@ -14,7 +14,6 @@
 #include "core/access_path.h"
 #include "core/kdtree.h"
 #include "core/point_table.h"
-#include "core/query_engine.h"
 #include "sdss/catalog.h"
 #include "storage/pager.h"
 
@@ -136,7 +135,8 @@ void Run(const bench::BenchOptions& options) {
   }
 
   // Inter-query scaling: a batch of mixed-selectivity queries; the serial
-  // loop is the baseline, ExecuteBatch fans out over the shared pool.
+  // loop is the baseline, ParallelFor fans the queries out over a
+  // fork/join pool, one query per iteration.
   const size_t batch_size = options.quick ? 16 : 32;
   const auto queries = MakeQueryBatch(batch_size);
 
@@ -153,7 +153,7 @@ void Run(const bench::BenchOptions& options) {
   }
   const double loop_ms = loop_timer.Millis();
 
-  std::printf("\n-- inter-query: ExecuteBatch, %zu queries --\n", batch_size);
+  std::printf("\n-- inter-query: ParallelFor, %zu queries --\n", batch_size);
   bench::PrintLatency("per-query (serial)", per_query.Take());
   bench::EmitJsonLatency(options, "batch_query_latency", per_query.Take(),
                          1000.0 * static_cast<double>(batch_size) / loop_ms);
@@ -165,10 +165,15 @@ void Run(const bench::BenchOptions& options) {
     for (const Polyhedron& poly : queries) {
       paths.push_back(std::make_unique<KdTreePath>(binding, *tree, poly));
     }
-    QueryEngine::BatchOptions batch_options;
-    batch_options.num_threads = threads;
+    std::vector<Result<StorageQueryResult>> results;
+    for (size_t q = 0; q < paths.size(); ++q) {
+      results.emplace_back(Status::Internal("query not executed"));
+    }
     WallTimer timer;
-    auto results = QueryEngine::ExecuteBatch(std::move(paths), batch_options);
+    TaskPool workers(threads);
+    ParallelFor(&workers, paths.size(), 1, [&](uint64_t q) {
+      results[q] = ExecuteAccessPath(paths[q].get());
+    });
     const double ms = timer.Millis();
     MDS_CHECK(results.size() == queries.size());
     for (size_t q = 0; q < results.size(); ++q) {

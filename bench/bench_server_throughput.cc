@@ -485,11 +485,13 @@ int Run(const bench::BenchOptions& options) {
   // (same --n/--seed), so each topology answers every query identically;
   // the coordinator sends a point count to every backend whose shard box
   // meets the query box and sums, so a small box costs about one backend
-  // leg at any shard count (the phase prints legs per request). On a
-  // multi-core host the shards' engine work runs concurrently and
-  // throughput should scale; on one core it cannot, so the >= 1.5x
-  // acceptance bar at 4 shards is gated on >= 4 cores and the single-core
-  // result is reported flat, honestly.
+  // leg at any shard count (the phase prints legs per request). Pruning
+  // leaves a 4-shard fleet about one leg of work per request, the same as
+  // one shard, while the clients, mdsc and every backend share the host's
+  // cores: on a 4-core host the 4-shard/1-shard ratio measured 0.51-1.24x
+  // over 26 quick runs (EXPERIMENTS.md E23), so the >= 1.5x bar, which
+  // is enforced on >= 4 cores, fails there. Below 4 cores the shards
+  // serialize onto fewer CPUs and the ratio is reported, not enforced.
   {
     std::printf("\n-- scale-out: closed-loop point counts through mdsc --\n");
     uint64_t expected_count = 0;
@@ -643,11 +645,13 @@ int Run(const bench::BenchOptions& options) {
       MDS_CHECK(stats->shards.size() == 1);
       const auto& shard = stats->shards[0];
       std::printf("shard 0 after kill: %u/%u replicas healthy, "
-                  "failovers=%llu short-circuits=%llu open breakers=%u\n",
+                  "failovers=%llu short-circuits=%llu open breakers=%u "
+                  "leg timeouts=%llu\n",
                   shard.healthy_replicas, shard.replicas,
                   (unsigned long long)shard.failovers,
                   (unsigned long long)shard.breaker_short_circuits,
-                  shard.open_breakers);
+                  shard.open_breakers,
+                  (unsigned long long)stats->deadline_timeouts);
       MDS_CHECK(shard.failovers > 0);
       MDS_CHECK(shard.breaker_short_circuits > 0);
     }

@@ -32,10 +32,10 @@ BufferedSocket::BufferedSocket(Socket sock) : sock_(std::move(sock)) {
 void BufferedSocket::CompactReadBuffer() {
   // Reclaim consumed prefix once it dominates the buffer, so a long-lived
   // connection doesn't accrete every frame it ever received.
-  if (read_pos_ > 0 && (read_pos_ >= read_buf_.size() ||
-                        read_pos_ >= kReadChunk)) {
-    read_buf_.erase(read_buf_.begin(),
-                    read_buf_.begin() + static_cast<ptrdiff_t>(read_pos_));
+  if (read_pos_ > 0 && (read_pos_ >= read_end_ || read_pos_ >= kReadChunk)) {
+    memmove(read_buf_.data(), read_buf_.data() + read_pos_,
+            read_end_ - read_pos_);
+    read_end_ -= read_pos_;
     read_pos_ = 0;
   }
 }
@@ -45,18 +45,20 @@ BufferedSocket::IoResult BufferedSocket::Fill(size_t max_bytes) {
   size_t filled = 0;
   while (filled < max_bytes) {
     const size_t want = std::min(kReadChunk, max_bytes - filled);
-    const size_t old_size = read_buf_.size();
-    read_buf_.resize(old_size + want);
-    const ssize_t rc = recv(sock_.fd(), read_buf_.data() + old_size, want, 0);
+    // The buffer only grows: bytes past read_end_ are spare room, so a
+    // steady-state read does not zero a fresh chunk before recv fills it.
+    if (read_buf_.size() < read_end_ + want) {
+      read_buf_.resize(read_end_ + want);
+    }
+    const ssize_t rc = recv(sock_.fd(), read_buf_.data() + read_end_, want, 0);
     if (rc > 0) {
-      read_buf_.resize(old_size + static_cast<size_t>(rc));
+      read_end_ += static_cast<size_t>(rc);
       filled += static_cast<size_t>(rc);
       if (static_cast<size_t>(rc) < want) {
         return IoResult::kProgress;  // kernel drained; skip one EAGAIN round
       }
       continue;
     }
-    read_buf_.resize(old_size);
     if (rc == 0) return IoResult::kClosed;
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -68,7 +70,7 @@ BufferedSocket::IoResult BufferedSocket::Fill(size_t max_bytes) {
 }
 
 void BufferedSocket::Consume(size_t n) {
-  read_pos_ += std::min(n, read_buf_.size() - read_pos_);
+  read_pos_ += std::min(n, read_end_ - read_pos_);
 }
 
 void BufferedSocket::QueueWrite(std::vector<uint8_t> bytes) {

@@ -51,7 +51,7 @@ class BufferedSocket {
 
   /// Unconsumed received bytes (the frame parser's window).
   const uint8_t* data() const { return read_buf_.data() + read_pos_; }
-  size_t size() const { return read_buf_.size() - read_pos_; }
+  size_t size() const { return read_end_ - read_pos_; }
   /// Marks n received bytes as parsed.
   void Consume(size_t n);
 
@@ -77,8 +77,9 @@ class BufferedSocket {
   void CompactReadBuffer();
 
   Socket sock_;
-  std::vector<uint8_t> read_buf_;
+  std::vector<uint8_t> read_buf_;  // received bytes: [read_pos_, read_end_)
   size_t read_pos_ = 0;
+  size_t read_end_ = 0;
 
   /// One write-queue entry: either an owned byte vector or a refcounted
   /// slab slice (zero-copy reply tails). Exactly one is non-empty.

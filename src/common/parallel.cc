@@ -38,13 +38,14 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> job) {
+void ThreadPool::Submit(std::function<void()> job, size_t demand) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(job));
     // A woken thread stays counted idle until it takes a job, so two
     // Submits racing one wake-up still start a second thread.
-    if (queue_.size() > idle_ && threads_.size() < max_threads_) {
+    if (queue_.size() > idle_ && threads_.size() < max_threads_ &&
+        threads_.size() < demand) {
       try {
         threads_.emplace_back([this] { Work(); });
       } catch (const std::system_error&) {

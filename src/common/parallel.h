@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -41,7 +42,12 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  void Submit(std::function<void()> job);
+  /// `demand` is how many threads the caller's jobs can occupy at once
+  /// (e.g. its admitted requests, this one included): no thread starts
+  /// beyond it, so a job submitted while a finished job's thread is still
+  /// on its way back to idle waits for that thread instead of adding one.
+  void Submit(std::function<void()> job,
+              size_t demand = std::numeric_limits<size_t>::max());
 
  private:
   void Work();
@@ -57,7 +63,7 @@ class ThreadPool {
 
 /// Fixed fork/join pool: num_threads()-1 ThreadPool workers, started once
 /// and reused for every Run() call — the "fixed worker pool" all parallel
-/// query machinery (ParallelRangeScanner, QueryEngine::ExecuteBatch,
+/// query machinery (ParallelRangeScanner, inter-query ParallelFor batches,
 /// parallel kd-tree build) shares, so concurrency is bounded by one knob
 /// rather than multiplying per layer.
 ///

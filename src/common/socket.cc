@@ -215,8 +215,7 @@ Result<Socket> TcpListener::AcceptNonBlocking() {
   }
 }
 
-Result<Socket> TcpConnect(const std::string& host, uint16_t port,
-                          uint64_t timeout_millis) {
+Result<Socket> TcpConnectStart(const std::string& host, uint16_t port) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Errno("socket");
   Socket sock(fd);
@@ -230,35 +229,35 @@ Result<Socket> TcpConnect(const std::string& host, uint16_t port,
     return Status::InvalidArgument("TcpConnect: bad IPv4 address '" + host +
                                    "'");
   }
-
-  // Non-blocking connect bounded by the timeout, then back to blocking
-  // mode (per-call deadlines come from poll, not fd state).
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    return Errno("fcntl");
-  }
-  int rc = connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr));
+  MDS_RETURN_NOT_OK(sock.SetNonBlocking());
+  const int rc =
+      connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr));
   if (rc != 0 && errno != EINPROGRESS) return Errno("connect");
-  if (rc != 0) {
-    const IoDeadline deadline = timeout_millis == 0
-                                    ? IoDeadline::Infinite()
-                                    : IoDeadline::After(timeout_millis);
-    Status ready = PollFor(fd, POLLOUT, deadline);
-    if (!ready.ok()) {
-      return AnnotateStatus(ready, "TcpConnect");
-    }
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
-      return Errno("getsockopt(SO_ERROR)");
-    }
-    if (err != 0) {
-      return Status::Unavailable(std::string("connect: ") + strerror(err));
-    }
-  }
-  if (fcntl(fd, F_SETFL, flags) != 0) return Errno("fcntl");
+  return sock;
+}
 
-  MDS_RETURN_NOT_OK(sock.SetNoDelay());
+Status TcpConnectFinish(Socket* sock) {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (getsockopt(sock->fd(), SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+    return Errno("getsockopt(SO_ERROR)");
+  }
+  if (err != 0) {
+    return Status::Unavailable(std::string("connect: ") + strerror(err));
+  }
+  return sock->SetNoDelay();
+}
+
+Result<Socket> TcpConnect(const std::string& host, uint16_t port,
+                          uint64_t timeout_millis) {
+  auto sock = TcpConnectStart(host, port);
+  if (!sock.ok()) return sock.status();
+  const IoDeadline deadline = timeout_millis == 0
+                                  ? IoDeadline::Infinite()
+                                  : IoDeadline::After(timeout_millis);
+  Status ready = PollFor(sock->fd(), POLLOUT, deadline);
+  if (!ready.ok()) return AnnotateStatus(ready, "TcpConnect");
+  MDS_RETURN_NOT_OK(TcpConnectFinish(&*sock));
   return sock;
 }
 

@@ -48,8 +48,6 @@ class IoDeadline {
 /// be called from any thread to unblock a peer stuck in ReadFull, but the
 /// caller must guarantee the socket is not concurrently Close()d or
 /// moved — shutdown of a racing fd close could hit a recycled descriptor.
-/// QueryClient's poison-on-failure discipline provides that guarantee for
-/// the coordinator's hedge-abort path.
 class Socket {
  public:
   Socket() = default;
@@ -137,9 +135,17 @@ class TcpListener {
 
 /// Connects to host:port (numeric IPv4 host, e.g. "127.0.0.1"), bounded
 /// by `timeout_millis` (0 = no bound). The returned socket has TCP_NODELAY
-/// set.
+/// set and is non-blocking (ReadFull/WriteFull poll on it).
 Result<Socket> TcpConnect(const std::string& host, uint16_t port,
                           uint64_t timeout_millis = 0);
+
+/// TcpConnect in two non-blocking halves, for callers that wait on the
+/// handshake in their own poll set: TcpConnectStart issues the connect on
+/// an O_NONBLOCK socket and returns at once; once poll reports the socket
+/// writable (or in error), TcpConnectFinish reports the handshake's
+/// outcome (kUnavailable when refused) and sets TCP_NODELAY.
+Result<Socket> TcpConnectStart(const std::string& host, uint16_t port);
+Status TcpConnectFinish(Socket* sock);
 
 }  // namespace mds
 

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/query_engine.h"
+#include "core/access_path.h"
 #include "storage/bplus_tree.h"
 #include "geom/point_set.h"
 #include "storage/table.h"

@@ -1,5 +1,9 @@
 #include "server/client.h"
 
+#include <errno.h>
+#include <poll.h>
+
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -17,11 +21,9 @@ constexpr uint32_t kIoSlackMs = 2000;
 constexpr uint32_t kNoDeadlineIoMs = 120000;
 
 IoDeadline ExchangeDeadline(const QueryOptions& options) {
-  const uint32_t slack =
-      options.exchange_slack_ms == 0 ? kIoSlackMs : options.exchange_slack_ms;
   return IoDeadline::After(options.deadline_ms == 0
                                ? kNoDeadlineIoMs
-                               : options.deadline_ms + slack);
+                               : options.deadline_ms + kIoSlackMs);
 }
 
 /// Lifts a decoded QueryReply (plus its header flags) into the client's
@@ -57,27 +59,12 @@ Result<QueryClient> QueryClient::Connect(const std::string& host,
   return QueryClient(std::move(*sock));
 }
 
-Status QueryClient::MapExchangeFailure(Status st, const Options& options,
-                                       const IoDeadline& deadline) {
-  // A request that carried a deadline and whose exchange ran out the
-  // clock is a deadline miss, not generic unavailability: the caller set
-  // the bound, so tell them it elapsed. (Without a caller deadline the
-  // long safety bound expiring stays kUnavailable — nobody asked for it.)
-  if (options.deadline_ms != 0 && st.code() == StatusCode::kUnavailable &&
-      deadline.Expired()) {
-    return Status::DeadlineExceeded("deadline of " +
-                                    std::to_string(options.deadline_ms) +
-                                    "ms elapsed awaiting reply");
-  }
-  // A reply frame that failed CRC or framing checks means the bytes were
-  // damaged in transit, not that the backend answered kCorruption: the
-  // connection is closed either way, so surface it as a retryable
-  // transport fault rather than a semantic data-corruption verdict.
-  if (st.code() == StatusCode::kCorruption ||
-      st.code() == StatusCode::kInvalidArgument) {
-    return Status::IOError("reply frame damaged in transit: " + st.message());
-  }
-  return st;
+Result<QueryClient> QueryClient::Open(const std::string& host, uint16_t port) {
+  auto sock = TcpConnectStart(host, port);
+  if (!sock.ok()) return AnnotateStatus(sock.status(), "QueryClient::Open");
+  QueryClient client(std::move(*sock));
+  client.connecting_ = true;
+  return client;
 }
 
 uint32_t QueryClient::RequestFlags(const Options& options) {
@@ -92,16 +79,12 @@ uint32_t QueryClient::RequestFlags(const Options& options) {
   return flags;
 }
 
-Status QueryClient::RoundTrip(MessageType type, const Options& options,
-                              const std::vector<uint8_t>& body,
-                              std::vector<uint8_t>* reply_payload,
-                              MessageHeader* reply_header,
-                              size_t* body_offset) {
+Result<uint64_t> QueryClient::Send(MessageType type, const Options& options,
+                                   const std::vector<uint8_t>& body) {
   if (!connected()) {
     return Status::FailedPrecondition("client connection is closed");
   }
   const uint64_t request_id = next_request_id_++;
-
   std::vector<uint8_t> payload;
   WireWriter w(&payload);
   MessageHeader header;
@@ -111,36 +94,143 @@ Status QueryClient::RoundTrip(MessageType type, const Options& options,
   EncodeMessageHeader(header, &w);
   w.PutU32(options.deadline_ms);  // RequestPrefix
   w.PutRaw(body.data(), body.size());
+  std::vector<uint8_t> frame;
+  frame.reserve(protocol::kFramePrefixBytes + payload.size());
+  protocol::AppendFrame(payload, &frame);
+  bsock_.QueueWrite(std::move(frame));
+  outstanding_.emplace_back(request_id, type);
+  return request_id;
+}
 
-  const IoDeadline deadline = ExchangeDeadline(options);
-  Status st = protocol::WriteFrame(&sock_, deadline, payload);
-  if (st.ok()) {
-    st = protocol::ReadFrame(&sock_, deadline, reply_payload);
+short QueryClient::PollEvents() const {
+  return connecting_ || bsock_.has_pending_write() ? POLLOUT : POLLIN;
+}
+
+Status QueryClient::Progress(short revents, Reply* reply) {
+  reply->ready = false;
+  if (!connected()) {
+    return Status::FailedPrecondition("client connection is closed");
   }
-  if (!st.ok()) {
-    // The stream is desynchronized (partial frame, timeout, close): this
-    // connection cannot be trusted for another exchange. Poison it rather
-    // than closing the fd here — the fd is only closed by the owning
-    // thread (destruction, reconnect), so a cross-thread Abort() can
-    // never race a close onto a recycled descriptor.
-    poisoned_ = true;
-    return AnnotateStatus(MapExchangeFailure(std::move(st), options, deadline),
-                          "QueryClient");
+  if (connecting_) {
+    if ((revents & (POLLOUT | POLLERR | POLLHUP)) == 0) return Status::OK();
+    Status connected = TcpConnectFinish(&bsock_.socket());
+    if (!connected.ok()) return Fail(std::move(connected));
+    connecting_ = false;
+  }
+  if (bsock_.has_pending_write()) {
+    switch (bsock_.Flush()) {
+      case BufferedSocket::IoResult::kClosed:
+        return Fail(Status::Unavailable("connection closed mid-write"));
+      case BufferedSocket::IoResult::kError:
+        return Fail(Status::IOError("send failed"));
+      default:
+        break;
+    }
+  }
+  if ((revents & (POLLIN | POLLERR | POLLHUP)) != 0 && !eof_) {
+    switch (bsock_.Fill()) {
+      case BufferedSocket::IoResult::kClosed:
+        eof_ = true;
+        break;
+      case BufferedSocket::IoResult::kError:
+        return Fail(Status::IOError("recv failed"));
+      default:
+        break;
+    }
   }
 
-  WireReader r(*reply_payload);
-  MDS_RETURN_NOT_OK(DecodeMessageHeader(&r, reply_header));
-  if ((reply_header->flags & protocol::kFlagReply) == 0 ||
-      reply_header->type != type ||
-      reply_header->request_id != request_id) {
-    poisoned_ = true;
-    return Status::Internal("protocol: reply does not match request");
+  size_t frame_bytes = 0;
+  Status framed =
+      protocol::CheckFrame(bsock_.data(), bsock_.size(), &frame_bytes);
+  if (!framed.ok()) return Fail(std::move(framed));
+  if (bsock_.size() < frame_bytes) {
+    if (!eof_) return Status::OK();
+    // A close on a frame boundary is the normal end of a connection (a
+    // backend reaping an idle pooled connection); a close inside a frame
+    // truncated the reply.
+    return Fail(bsock_.size() == 0
+                    ? Status::NotFound("connection closed")
+                    : Status::Unavailable(
+                          "protocol: connection closed mid-frame"));
   }
-  Status remote;
-  MDS_RETURN_NOT_OK(protocol::DecodeStatus(&r, &remote));
-  MDS_RETURN_NOT_OK(remote);
-  *body_offset = reply_payload->size() - r.remaining();
+  reply->payload.assign(bsock_.data() + protocol::kFramePrefixBytes,
+                        bsock_.data() + frame_bytes);
+  bsock_.Consume(frame_bytes);
+
+  WireReader r(reply->payload);
+  Status decoded = DecodeMessageHeader(&r, &reply->header);
+  if (!decoded.ok()) return Fail(std::move(decoded));
+  const auto due = std::find_if(
+      outstanding_.begin(), outstanding_.end(), [&](const auto& request) {
+        return request.first == reply->header.request_id;
+      });
+  if ((reply->header.flags & protocol::kFlagReply) == 0 ||
+      due == outstanding_.end() || due->second != reply->header.type) {
+    return Fail(Status::Internal("protocol: reply does not match request"));
+  }
+  outstanding_.erase(due);
+  decoded = protocol::DecodeStatus(&r, &reply->status);
+  if (!decoded.ok()) return Fail(std::move(decoded));
+  reply->body_offset = reply->payload.size() - r.remaining();
+  reply->ready = true;
   return Status::OK();
+}
+
+Status QueryClient::Expire(const Options& options) {
+  // A request that carried a deadline and whose exchange ran out the
+  // clock is a deadline miss, not generic unavailability: the caller set
+  // the bound, so tell them it elapsed. (Without a caller deadline the
+  // long safety bound expiring stays kUnavailable — nobody asked for it.)
+  if (options.deadline_ms != 0) {
+    return Fail(Status::DeadlineExceeded("deadline of " +
+                                         std::to_string(options.deadline_ms) +
+                                         "ms elapsed awaiting reply"));
+  }
+  return Fail(Status::Unavailable("socket deadline expired"));
+}
+
+Status QueryClient::Fail(Status st) {
+  // The stream is desynchronized (partial frame, timeout, close): this
+  // connection cannot be trusted for another exchange.
+  bsock_ = BufferedSocket();
+  connecting_ = false;
+  outstanding_.clear();
+  // A reply frame that failed CRC or framing checks means the bytes were
+  // damaged in transit, not that the backend answered kCorruption: the
+  // connection is closed either way, so surface it as a retryable
+  // transport fault rather than a semantic data-corruption verdict.
+  if (st.code() == StatusCode::kCorruption ||
+      st.code() == StatusCode::kInvalidArgument) {
+    st = Status::IOError("reply frame damaged in transit: " + st.message());
+  }
+  return AnnotateStatus(st, "QueryClient");
+}
+
+Status QueryClient::Await(const Options& options, const IoDeadline& deadline,
+                          Reply* reply) {
+  short revents = 0;
+  for (;;) {
+    MDS_RETURN_NOT_OK(Progress(revents, reply));
+    if (reply->ready) return Status::OK();
+    struct pollfd pfd;
+    pfd.fd = fd();
+    pfd.events = PollEvents();
+    pfd.revents = 0;
+    const int rc = poll(&pfd, 1, deadline.PollTimeoutMillis());
+    if (rc == 0) return Expire(options);
+    if (rc < 0 && errno != EINTR) return Fail(Status::IOError("poll failed"));
+    revents = rc > 0 ? pfd.revents : 0;
+  }
+}
+
+Status QueryClient::RoundTrip(MessageType type, const Options& options,
+                              const std::vector<uint8_t>& body,
+                              Reply* reply) {
+  const IoDeadline deadline = ExchangeDeadline(options);
+  auto sent = Send(type, options, body);
+  if (!sent.ok()) return sent.status();
+  MDS_RETURN_NOT_OK(Await(options, deadline, reply));
+  return reply->status;
 }
 
 Result<uint64_t> QueryClient::PointCount(const Box& box,
@@ -172,15 +262,12 @@ Result<QueryClient::QueryResult> QueryClient::BoxQueryInternal(
   WireWriter w(&body);
   protocol::EncodeBoxQueryRequest(req, &w);
 
-  std::vector<uint8_t> reply;
-  protocol::MessageHeader header;
-  size_t offset = 0;
-  MDS_RETURN_NOT_OK(RoundTrip(type, options, body, &reply, &header, &offset));
-
-  WireReader r(reply.data() + offset, reply.size() - offset);
+  Reply reply;
+  MDS_RETURN_NOT_OK(RoundTrip(type, options, body, &reply));
+  WireReader r = reply.body();
   protocol::QueryReply decoded;
   MDS_RETURN_NOT_OK(DecodeQueryReply(&r, &decoded));
-  return ToQueryResult(std::move(decoded), header);
+  return ToQueryResult(std::move(decoded), reply.header);
 }
 
 Result<QueryClient::KnnResult> QueryClient::Knn(
@@ -192,19 +279,15 @@ Result<QueryClient::KnnResult> QueryClient::Knn(
   WireWriter w(&body);
   protocol::EncodeKnnRequest(req, &w);
 
-  std::vector<uint8_t> reply;
-  protocol::MessageHeader header;
-  size_t offset = 0;
-  MDS_RETURN_NOT_OK(
-      RoundTrip(MessageType::kKnn, options, body, &reply, &header, &offset));
-
-  WireReader r(reply.data() + offset, reply.size() - offset);
+  Reply reply;
+  MDS_RETURN_NOT_OK(RoundTrip(MessageType::kKnn, options, body, &reply));
+  WireReader r = reply.body();
   protocol::KnnReply decoded;
   MDS_RETURN_NOT_OK(DecodeKnnReply(&r, &decoded));
   KnnResult out;
   out.neighbors = std::move(decoded.neighbors);
-  out.degraded = (header.flags & protocol::kFlagDegraded) != 0;
-  out.partial = (header.flags & protocol::kFlagPartial) != 0;
+  out.degraded = (reply.header.flags & protocol::kFlagDegraded) != 0;
+  out.partial = (reply.header.flags & protocol::kFlagPartial) != 0;
   out.shards_answered = decoded.shards_answered;
   out.shards_total = decoded.shards_total;
   out.shards_mask = decoded.shards_mask;
@@ -224,16 +307,13 @@ Result<QueryClient::QueryResult> QueryClient::TableSample(
   WireWriter w(&body);
   protocol::EncodeTableSampleRequest(req, &w);
 
-  std::vector<uint8_t> reply;
-  protocol::MessageHeader header;
-  size_t offset = 0;
-  MDS_RETURN_NOT_OK(RoundTrip(MessageType::kTableSample, options, body, &reply,
-                              &header, &offset));
-
-  WireReader r(reply.data() + offset, reply.size() - offset);
+  Reply reply;
+  MDS_RETURN_NOT_OK(
+      RoundTrip(MessageType::kTableSample, options, body, &reply));
+  WireReader r = reply.body();
   protocol::QueryReply decoded;
   MDS_RETURN_NOT_OK(DecodeQueryReply(&r, &decoded));
-  return ToQueryResult(std::move(decoded), header);
+  return ToQueryResult(std::move(decoded), reply.header);
 }
 
 std::vector<Result<uint64_t>> QueryClient::PointCountPipeline(
@@ -262,113 +342,76 @@ std::vector<Result<QueryClient::QueryResult>> QueryClient::PipelineInternal(
     MessageType type) {
   std::vector<Result<QueryResult>> out(
       boxes.size(), Result<QueryResult>(Status::Internal("no reply")));
-  if (boxes.empty()) return out;
-  if (!connected()) {
-    const Status closed =
-        Status::FailedPrecondition("client connection is closed");
-    for (auto& slot : out) slot = closed;
-    return out;
-  }
-
-  // Frame every request back-to-back into one wire buffer: the whole
-  // batch leaves in one write (one RTT of request latency for k
-  // requests).
+  std::vector<bool> answered(boxes.size(), false);
   std::unordered_map<uint64_t, size_t> slot_of_id;
   slot_of_id.reserve(boxes.size());
-  std::vector<uint8_t> wire;
-  for (size_t i = 0; i < boxes.size(); ++i) {
-    const uint64_t request_id = next_request_id_++;
-    slot_of_id.emplace(request_id, i);
 
+  // Queue every request before any is written: the whole batch leaves in
+  // the first Progress (one round trip of request latency for k requests),
+  // and one deadline bounds the whole exchange, as for a single request.
+  const IoDeadline deadline = ExchangeDeadline(options);
+  Status st = Status::OK();
+  for (size_t i = 0; i < boxes.size() && st.ok(); ++i) {
     protocol::BoxQueryRequest req;
     req.lo = boxes[i].lo();
     req.hi = boxes[i].hi();
     req.limit = limit;
-
-    std::vector<uint8_t> payload;
-    WireWriter w(&payload);
-    MessageHeader header;
-    header.type = type;
-    header.flags = RequestFlags(options);
-    header.request_id = request_id;
-    EncodeMessageHeader(header, &w);
-    w.PutU32(options.deadline_ms);  // RequestPrefix
+    std::vector<uint8_t> body;
+    WireWriter w(&body);
     protocol::EncodeBoxQueryRequest(req, &w);
-    protocol::AppendFrame(payload, &wire);
+    auto sent = Send(type, options, body);
+    if (sent.ok()) {
+      slot_of_id.emplace(*sent, i);
+    } else {
+      st = sent.status();
+    }
   }
 
-  // One deadline bounds the whole exchange, like RoundTrip's does one.
-  const IoDeadline deadline = ExchangeDeadline(options);
-  Status st = sock_.WriteFull(wire.data(), wire.size(), deadline);
-
-  // Read until every request has its reply. Replies are matched by
-  // request id: the contract is per-connection completeness, not order
-  // (a future server is free to interleave).
+  // Replies are matched by request id: the contract is per-connection
+  // completeness, not order (the server interleaves).
   while (st.ok() && !slot_of_id.empty()) {
-    std::vector<uint8_t> reply;
-    st = protocol::ReadFrame(&sock_, deadline, &reply);
+    Reply reply;
+    st = Await(options, deadline, &reply);
     if (!st.ok()) break;
-
-    WireReader r(reply);
-    MessageHeader header;
-    st = DecodeMessageHeader(&r, &header);
-    if (!st.ok()) break;
-    if ((header.flags & protocol::kFlagReply) == 0 || header.type != type) {
-      st = Status::Internal("protocol: reply does not match request");
-      break;
-    }
-    auto it = slot_of_id.find(header.request_id);
-    if (it == slot_of_id.end()) {
-      st = Status::Internal("protocol: reply for unknown request id");
-      break;
-    }
+    auto it = slot_of_id.find(reply.header.request_id);
     const size_t slot = it->second;
     slot_of_id.erase(it);
-
+    answered[slot] = true;
     // Per-slot failures (bad request, overload shed, deadline expiry on
     // the server) consume the reply and fail only this slot.
-    Status remote;
-    Status decode = protocol::DecodeStatus(&r, &remote);
-    if (!decode.ok()) {
-      st = std::move(decode);
-      break;
-    }
-    if (!remote.ok()) {
-      out[slot] = AnnotateStatus(std::move(remote), "QueryClient");
+    if (!reply.status.ok()) {
+      out[slot] = AnnotateStatus(std::move(reply.status), "QueryClient");
       continue;
     }
+    WireReader r = reply.body();
     protocol::QueryReply decoded;
-    decode = DecodeQueryReply(&r, &decoded);
+    Status decode = DecodeQueryReply(&r, &decoded);
     if (!decode.ok()) {
-      st = std::move(decode);
+      st = Fail(std::move(decode));
       break;
     }
-    out[slot] = ToQueryResult(std::move(decoded), header);
+    out[slot] = ToQueryResult(std::move(decoded), reply.header);
   }
 
   if (!st.ok()) {
-    // Transport failure mid-batch: the stream is desynchronized. Poison
-    // the connection and fail every slot still awaiting its reply.
-    poisoned_ = true;
-    const Status failed = AnnotateStatus(
-        MapExchangeFailure(std::move(st), options, deadline), "QueryClient");
-    for (const auto& entry : slot_of_id) out[entry.second] = failed;
+    // Transport failure mid-batch (the connection is closed now): fail
+    // every slot still awaiting its reply.
+    for (size_t i = 0; i < boxes.size(); ++i) {
+      if (!answered[i]) out[i] = st;
+    }
   }
   return out;
 }
 
 Result<QueryClient::HealthResult> QueryClient::Health(const Options& options) {
-  std::vector<uint8_t> reply;
-  protocol::MessageHeader header;
-  size_t offset = 0;
-  MDS_RETURN_NOT_OK(RoundTrip(MessageType::kHealth, options, {}, &reply,
-                              &header, &offset));
-  WireReader r(reply.data() + offset, reply.size() - offset);
+  Reply reply;
+  MDS_RETURN_NOT_OK(RoundTrip(MessageType::kHealth, options, {}, &reply));
+  WireReader r = reply.body();
   protocol::HealthReply decoded;
   MDS_RETURN_NOT_OK(DecodeHealthReply(&r, &decoded));
   HealthResult out;
-  out.draining =
-      decoded.draining != 0 || (header.flags & protocol::kFlagDraining) != 0;
+  out.draining = decoded.draining != 0 ||
+                 (reply.header.flags & protocol::kFlagDraining) != 0;
   out.served_rows = decoded.served_rows;
   out.dim = decoded.dim;
   out.bounds = std::move(decoded.bounds);
@@ -383,12 +426,9 @@ Result<protocol::ReloadReply> QueryClient::Reload(const std::string& path,
   WireWriter w(&body);
   protocol::EncodeReloadRequest(req, &w);
 
-  std::vector<uint8_t> reply;
-  protocol::MessageHeader header;
-  size_t offset = 0;
-  MDS_RETURN_NOT_OK(RoundTrip(MessageType::kReload, options, body, &reply,
-                              &header, &offset));
-  WireReader r(reply.data() + offset, reply.size() - offset);
+  Reply reply;
+  MDS_RETURN_NOT_OK(RoundTrip(MessageType::kReload, options, body, &reply));
+  WireReader r = reply.body();
   protocol::ReloadReply decoded;
   MDS_RETURN_NOT_OK(DecodeReloadReply(&r, &decoded));
   return decoded;
@@ -396,12 +436,9 @@ Result<protocol::ReloadReply> QueryClient::Reload(const std::string& path,
 
 Result<protocol::ServerStatsSnapshot> QueryClient::ServerStats(
     const Options& options) {
-  std::vector<uint8_t> reply;
-  protocol::MessageHeader header;
-  size_t offset = 0;
-  MDS_RETURN_NOT_OK(RoundTrip(MessageType::kStats, options, {}, &reply,
-                              &header, &offset));
-  WireReader r(reply.data() + offset, reply.size() - offset);
+  Reply reply;
+  MDS_RETURN_NOT_OK(RoundTrip(MessageType::kStats, options, {}, &reply));
+  WireReader r = reply.body();
   protocol::ServerStatsSnapshot decoded;
   MDS_RETURN_NOT_OK(DecodeServerStats(&r, &decoded));
   return decoded;

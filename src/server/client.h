@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/buffered_socket.h"
 #include "common/result.h"
 #include "common/socket.h"
 #include "geom/box.h"
@@ -25,7 +27,7 @@ namespace mds {
 /// initializers in the enclosing class's default arguments).
 struct QueryOptions {
   /// Server-side deadline for the request, and the client-side I/O
-  /// bound for the exchange (plus slack). 0 = none.
+  /// bound for the exchange (plus 2 s slack). 0 = none.
   uint32_t deadline_ms = 0;
   /// Permit a degraded (partial) answer over checksum-failed pages.
   bool skip_corrupt = false;
@@ -36,11 +38,6 @@ struct QueryOptions {
   /// (kFlagAllowPartial on the wire) instead of a blanket failure when a
   /// shard is exhausted. Plain mdsd ignores the flag.
   bool allow_partial = false;
-  /// Client-side I/O slack added on top of deadline_ms for the exchange
-  /// bound. 0 = the default 2000 ms; the mdsc coordinator uses a small
-  /// value so a backend leg's read deadline fires close to the leg's
-  /// share of the budget rather than 2 s later.
-  uint32_t exchange_slack_ms = 0;
 };
 
 class QueryClient {
@@ -146,31 +143,76 @@ class QueryClient {
       const std::vector<Box>& boxes, uint64_t limit = 0,
       const Options& options = {});
 
-  /// True while the connection has not failed. A failed exchange poisons
-  /// the connection (its fd closes when this client is destroyed or
-  /// reassigned); callers reconnect with Connect().
-  bool connected() const { return sock_.valid() && !poisoned_; }
+  /// True while the connection has not failed. A failed exchange closes
+  /// the connection; callers reconnect with Connect().
+  bool connected() const { return bsock_.valid(); }
 
-  /// Aborts an in-flight exchange from another thread: shuts the socket
-  /// down both ways so a blocked read/write in the owning thread fails
-  /// promptly. Safe concurrently with the owning thread's exchange
-  /// because a failed exchange only *poisons* the client — the fd is
-  /// closed solely by the owning thread's destructor/reassignment, which
-  /// the mdsc coordinator orders after deregistration from the abort
-  /// list. An aborted client is never reusable, only destroyable.
-  void Abort() { sock_.ShutdownBoth(); }
+  // --- Incremental exchange --------------------------------------------
+  //
+  // The primitive every exchange above runs to completion on one
+  // connection, exposed so one thread can drive many connections from its
+  // own poll(2) set (the mdsc coordinator's shard legs): Send a request,
+  // then Progress the connection on each poll readiness until a reply is
+  // ready, or Expire it when the caller's deadline runs out.
+
+  /// Starts a non-blocking connect and returns at once; the handshake
+  /// completes inside Progress() once poll reports the socket writable.
+  static Result<QueryClient> Open(const std::string& host, uint16_t port);
+
+  /// One reply frame that matched an outstanding request.
+  struct Reply {
+    bool ready = false;
+    protocol::MessageHeader header;
+    Status status;  ///< the server's status for the request
+    std::vector<uint8_t> payload;
+    size_t body_offset = 0;  ///< where the body after the status starts
+
+    WireReader body() const {
+      return WireReader(payload.data() + body_offset,
+                        payload.size() - body_offset);
+    }
+  };
+
+  /// Frames one request (header, deadline prefix, body) and queues it for
+  /// writing; returns the request id its reply will carry. Nothing is
+  /// written until the next Progress().
+  Result<uint64_t> Send(protocol::MessageType type, const Options& options,
+                        const std::vector<uint8_t>& body);
+
+  /// Advances the connection without blocking, given the revents poll
+  /// reported for fd() (0 = none): finishes a pending connect, writes
+  /// queued request bytes, reads reply bytes, and sets reply->ready once
+  /// a whole reply frame for an outstanding request has arrived. A
+  /// transport or framing failure closes the connection and returns its
+  /// status (a damaged reply frame is a retryable kIOError).
+  Status Progress(short revents, Reply* reply);
+
+  /// The events to poll fd() for: POLLOUT while the connect or a request
+  /// write is pending, else POLLIN.
+  short PollEvents() const;
+  int fd() const { return bsock_.fd(); }
+  /// True until the connect started by Open() has completed.
+  bool connecting() const { return connecting_; }
+
+  /// The caller's deadline ran out with a reply still due: closes the
+  /// connection and returns kDeadlineExceeded when `options` carried a
+  /// deadline (the caller set the bound), else kUnavailable.
+  Status Expire(const Options& options);
 
  private:
-  explicit QueryClient(Socket sock) : sock_(std::move(sock)) {}
+  explicit QueryClient(Socket sock) : bsock_(std::move(sock)) {}
 
-  /// One request/reply exchange: frames and sends the request payload,
-  /// reads the matching reply, decodes its header + status, and leaves
-  /// `reader` positioned at the reply body.
+  /// Send + Await: one request/reply exchange bounded by the options'
+  /// deadline plus slack. Returns the server's status for the request.
   Status RoundTrip(protocol::MessageType type, const Options& options,
-                   const std::vector<uint8_t>& body,
-                   std::vector<uint8_t>* reply_payload,
-                   protocol::MessageHeader* reply_header,
-                   size_t* body_offset);
+                   const std::vector<uint8_t>& body, Reply* reply);
+
+  /// Progress + poll until a reply is ready or `deadline` runs out.
+  Status Await(const Options& options, const IoDeadline& deadline,
+               Reply* reply);
+
+  /// Closes the connection after a transport or framing failure.
+  Status Fail(Status st);
 
   /// Shared body of PointCount / BoxQuery (same request shape, different
   /// message type).
@@ -178,27 +220,22 @@ class QueryClient {
                                        const Options& options,
                                        protocol::MessageType type);
 
-  /// Shared body of the pipelined exchanges: writes all request frames
-  /// back-to-back, then reads and correlates the replies. Returns one
-  /// decoded QueryReply result per request, in request order.
+  /// Shared body of the pipelined exchanges: sends every request, then
+  /// awaits and correlates the replies. Returns one decoded QueryReply
+  /// result per request, in request order.
   std::vector<Result<QueryResult>> PipelineInternal(
       const std::vector<Box>& boxes, uint64_t limit, const Options& options,
       protocol::MessageType type);
 
   static uint32_t RequestFlags(const Options& options);
 
-  /// Maps a transport-read failure onto the caller's deadline: a bounded
-  /// exchange that timed out is kDeadlineExceeded (retryable), not a
-  /// generic kUnavailable.
-  Status MapExchangeFailure(Status st, const Options& options,
-                            const IoDeadline& deadline);
-
-  Socket sock_;
+  BufferedSocket bsock_;
+  bool connecting_ = false;
+  /// The peer closed; frames already buffered are still delivered.
+  bool eof_ = false;
   uint64_t next_request_id_ = 1;
-  /// Set by a failed exchange instead of closing the fd: keeps Close()
-  /// off exchange threads so Abort()'s cross-thread shutdown can never
-  /// race a close (and hit a recycled descriptor).
-  bool poisoned_ = false;
+  /// Requests sent whose replies are still due: (request id, type).
+  std::vector<std::pair<uint64_t, protocol::MessageType>> outstanding_;
 };
 
 }  // namespace mds

@@ -1,8 +1,12 @@
 #include "server/coordinator.h"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <limits>
 #include <random>
+#include <thread>
 #include <utility>
 
 #include "geom/box.h"
@@ -17,6 +21,10 @@ using protocol::MessageType;
 /// chosen_path of a box-like reply no shard executed: every shard was
 /// pruned (docs/PROTOCOL.md).
 constexpr char kPrunedPath[] = "pruned";
+
+/// Reply wait of a leg with no deadline (no client budget and
+/// sub_deadline_ms = 0): the bound QueryClient puts on such an exchange.
+constexpr uint32_t kNoDeadlineLegMs = 120000;
 
 int64_t SteadyNowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -67,17 +75,24 @@ Box FleetBounds(const std::vector<Box>& shard_bounds) {
   return out;
 }
 
-protocol::QueryReply FromClientResult(QueryClient::QueryResult result) {
-  protocol::QueryReply out;
-  out.row_count = result.row_count;
-  out.objids = std::move(result.objids);
-  out.rows_scanned = result.rows_scanned;
-  out.pages_fetched = result.pages_fetched;
-  out.pages_read = result.pages_read;
-  out.pages_skipped = result.pages_skipped;
-  out.degraded = result.degraded;
-  out.chosen_path = std::move(result.chosen_path);
-  return out;
+/// Decodes one backend leg's reply into the coordinator's per-shard form.
+/// The backend's own status comes back unchanged (a semantic error, or a
+/// retryable shed).
+Status DecodeLegReply(MessageType type, const QueryClient::Reply& reply,
+                      protocol::QueryReply* query,
+                      std::vector<protocol::WireNeighbor>* neighbors) {
+  MDS_RETURN_NOT_OK(reply.status);
+  WireReader r = reply.body();
+  if (type == MessageType::kKnn) {
+    protocol::KnnReply knn;
+    MDS_RETURN_NOT_OK(protocol::DecodeKnnReply(&r, &knn));
+    *neighbors = std::move(knn.neighbors);
+    return Status::OK();
+  }
+  MDS_RETURN_NOT_OK(protocol::DecodeQueryReply(&r, query));
+  query->degraded = query->degraded ||
+                    (reply.header.flags & protocol::kFlagDegraded) != 0;
+  return Status::OK();
 }
 
 /// mdsc's front end: the coordinator's own knobs, plus constants for what
@@ -309,19 +324,7 @@ Status Coordinator::Start() {
   }
   PublishBounds(std::move(bounds));
 
-  unsigned fanout = config_.fanout_threads;
-  if (fanout == 0) {
-    size_t total_replicas = 0;
-    for (const auto& shard : shards_) total_replicas += shard->replicas.size();
-    fanout = static_cast<unsigned>(
-        std::min<size_t>(32, std::max<size_t>(4, 2 * total_replicas)));
-  }
-  fanout_ = std::make_unique<ThreadPool>(fanout);
-  Status started = front_.Start();
-  if (!started.ok()) {
-    fanout_.reset();
-    return started;
-  }
+  MDS_RETURN_NOT_OK(front_.Start());
   started_ = true;
   return Status::OK();
 }
@@ -329,7 +332,6 @@ Status Coordinator::Start() {
 void Coordinator::Shutdown() {
   if (!started_) return;
   front_.Shutdown();  // drains admitted fan-outs, joins workers and loop
-  fanout_.reset();    // runs queued attempts, joins pool threads
   for (auto& shard : shards_) {
     for (auto& replica : shard->replicas) {
       std::lock_guard<std::mutex> lock(replica->mu);
@@ -480,6 +482,7 @@ Status Coordinator::DecodeSubRequest(const MessageHeader& header,
                                      const uint8_t* body, size_t body_len,
                                      uint32_t deadline_ms, SubRequest* out) {
   out->type = header.type;
+  out->body.assign(body, body + body_len);
   out->budget_ms = deadline_ms;
   out->allow_partial = (header.flags & protocol::kFlagAllowPartial) != 0;
   // The per-leg deadline is recomputed from the remaining budget before
@@ -542,19 +545,13 @@ Status Coordinator::DecodeSubRequest(const MessageHeader& header,
 Status Coordinator::ScatterGather(
     const SubRequest& req, protocol::QueryReply* merged,
     std::vector<protocol::WireNeighbor>* neighbors, ScatterOutcome* outcome) {
-  // Attempt jobs (and hedges) can outlive this frame when a late attempt
-  // loses the race, so the request template they read is shared, not
-  // stack-owned.
-  auto shared_req = std::make_shared<const SubRequest>(req);
-  auto scatter = std::make_shared<Scatter>();
   const size_t num_shards = shards_.size();
-  scatter->calls.resize(num_shards);
-
+  Scatter scatter{req, std::vector<uint32_t>(num_shards, req.k),
+                  std::vector<ShardCall>(num_shards)};
   // Per-shard kNN clamp: a shard cannot answer a k beyond its own rows.
-  std::vector<uint32_t> shard_k(num_shards, req.k);
   if (req.type == MessageType::kKnn) {
     for (size_t s = 0; s < num_shards; ++s) {
-      shard_k[s] = static_cast<uint32_t>(
+      scatter.shard_k[s] = static_cast<uint32_t>(
           std::min<uint64_t>(req.k, shards_[s]->served_rows));
     }
   }
@@ -589,70 +586,61 @@ Status Coordinator::ScatterGather(
     if (leg[s]) first.push_back(s);
   }
 
+  RunLegs(first, &scatter);
+  if (prune && req.type == MessageType::kKnn && first.size() < num_shards) {
+    // Phase 2: a shard can hold one of the k nearest only if its box
+    // distance is <= the k-th distance found so far. Box and row
+    // distances round the same way (DESIGN.md), so no row of a shard
+    // past the bound computes closer than its box; ties are visited so
+    // the (d2, id) order still decides between shards.
+    std::vector<std::vector<protocol::WireNeighbor>> found;
+    bool visit_all = false;
+    for (size_t s : first) {
+      if (!scatter.calls[s].status.ok()) visit_all = true;
+      found.push_back(scatter.calls[s].reply.neighbors);
+    }
+    const auto merged_first = MergeKnnNeighbors(found, req.k);
+    if (merged_first.size() < req.k) visit_all = true;
+    std::vector<size_t> second;
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (leg[s]) continue;
+      if (visit_all || !(box_d2[s] > merged_first.back().squared_distance)) {
+        leg[s] = true;
+        second.push_back(s);
+      }
+    }
+    RunLegs(second, &scatter);
+  }
+
   std::vector<protocol::QueryReply> query_replies;
   std::vector<std::vector<protocol::WireNeighbor>> knn_replies;
   Status failure = Status::OK();
   bool all_failures_exhaustion = true;
-  {
-    std::unique_lock<std::mutex> lock(scatter->mu);
-    LaunchLegs(first, shared_req, shard_k, scatter);
-    AwaitLegs(first.size(), shared_req, shard_k, scatter, &lock);
-
-    if (prune && req.type == MessageType::kKnn && first.size() < num_shards) {
-      // Phase 2: a shard can hold one of the k nearest only if its box
-      // distance is <= the k-th distance found so far. Box and row
-      // distances round the same way (DESIGN.md), so no row of a shard
-      // past the bound computes closer than its box; ties are visited so
-      // the (d2, id) order still decides between shards.
-      std::vector<std::vector<protocol::WireNeighbor>> found;
-      bool visit_all = false;
-      for (size_t s : first) {
-        if (!scatter->calls[s].status.ok()) visit_all = true;
-        found.push_back(scatter->calls[s].reply.neighbors);
+  outcome->total = static_cast<uint32_t>(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    ShardCall& call = scatter.calls[s];
+    if (!leg[s]) {
+      // Pruned: the shard's bounds prove it holds no qualifying row, so
+      // it is answered (with nothing), not missing.
+      shards_[s]->pruned.fetch_add(1, std::memory_order_relaxed);
+    } else if (!call.status.ok()) {
+      // A failed shard fails the request unless the client opted into a
+      // partial answer (below) — half a scatter is not a correct answer
+      // to any query type. Prefer a retryable failure so clients treat
+      // it like a single server's shed.
+      if (failure.ok() || RetryableBackendFailure(call.status)) {
+        failure = AnnotateStatus(call.status,
+                                 "shard " + std::to_string(s) + " failed");
       }
-      const auto merged_first = MergeKnnNeighbors(found, req.k);
-      if (merged_first.size() < req.k) visit_all = true;
-      std::vector<size_t> second;
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (leg[s]) continue;
-        if (visit_all || !(box_d2[s] > merged_first.back().squared_distance)) {
-          leg[s] = true;
-          second.push_back(s);
-        }
-      }
-      LaunchLegs(second, shared_req, shard_k, scatter);
-      AwaitLegs(first.size() + second.size(), shared_req, shard_k, scatter,
-                &lock);
+      if (!ExhaustionFailure(call.status)) all_failures_exhaustion = false;
+      continue;
+    } else if (req.type == MessageType::kKnn) {
+      knn_replies.push_back(std::move(call.reply.neighbors));
+    } else {
+      query_replies.push_back(std::move(call.reply.query));
     }
-
-    // Extract under the lock: a losing late attempt may still touch its
-    // call's bookkeeping fields.
-    outcome->total = static_cast<uint32_t>(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      ShardCall& call = scatter->calls[s];
-      if (!leg[s]) {
-        // Pruned: the shard's bounds prove it holds no qualifying row, so
-        // it is answered (with nothing), not missing.
-        shards_[s]->pruned.fetch_add(1, std::memory_order_relaxed);
-      } else if (!call.status.ok()) {
-        // A failed shard fails the request unless the client opted into a
-        // partial answer (below) — half a scatter is not a correct answer
-        // to any query type. Prefer a retryable failure so clients treat
-        // it like a single server's shed.
-        if (failure.ok() || RetryableBackendFailure(call.status)) {
-          failure = AnnotateStatus(call.status,
-                                   "shard " + std::to_string(s) + " failed");
-        }
-        if (!ExhaustionFailure(call.status)) all_failures_exhaustion = false;
-        continue;
-      } else if (req.type == MessageType::kKnn) {
-        knn_replies.push_back(std::move(call.reply.neighbors));
-      } else {
-        query_replies.push_back(std::move(call.reply.query));
-      }
-      ++outcome->answered;
-      if (s < 64) outcome->mask |= 1ull << s;
-    }
+    ++outcome->answered;
+    if (s < 64) outcome->mask |= 1ull << s;
   }
   if (!failure.ok()) {
     // Degraded mode: every missing shard failed by exhaustion (budget
@@ -685,59 +673,105 @@ Status Coordinator::ScatterGather(
   return Status::OK();
 }
 
-void Coordinator::LaunchLegs(const std::vector<size_t>& shards,
-                             const std::shared_ptr<const SubRequest>& req,
-                             const std::vector<uint32_t>& shard_k,
-                             const std::shared_ptr<Scatter>& scatter) {
-  const auto now = std::chrono::steady_clock::now();
+void Coordinator::RunLegs(const std::vector<size_t>& shards,
+                          Scatter* scatter) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point now = Clock::now();
   for (size_t s : shards) {
     ShardCall& call = scatter->calls[s];
-    call.outstanding = 1;
     std::chrono::microseconds delay{0};
     call.hedge_possible = HedgeDelay(*shards_[s], &delay);
     if (call.hedge_possible) call.hedge_at = now + delay;
-    fanout_->Submit([this, s, req, k = shard_k[s], scatter] {
-      RunAttempt(s, /*replica_offset=*/0, req, k, scatter, s,
-                 /*is_hedge=*/false);
-    });
+    StartWalk(scatter, s, /*hedge=*/false);
   }
-}
 
-void Coordinator::AwaitLegs(size_t expected,
-                            const std::shared_ptr<const SubRequest>& req,
-                            const std::vector<uint32_t>& shard_k,
-                            const std::shared_ptr<Scatter>& scatter,
-                            std::unique_lock<std::mutex>* lock) {
-  // Attempts are bounded by the sub-request deadline (plus the client's
-  // exchange slack), so every launched call completes in bounded time.
-  // Calls never launched have hedge_possible == false and are skipped.
-  while (scatter->done_count < expected) {
-    // Earliest pending hedge deadline among live calls, if any.
-    bool have_hedge = false;
-    std::chrono::steady_clock::time_point next{};
-    for (const ShardCall& call : scatter->calls) {
-      if (call.done || call.hedged || !call.hedge_possible) continue;
-      if (!have_hedge || call.hedge_at < next) {
-        next = call.hedge_at;
-        have_hedge = true;
+  // A new connection's handshake is bounded by the connect timeout too;
+  // once it completes, the attempt has the rest of its leg deadline.
+  const auto expiry = [](const Walk& walk) {
+    return walk.conn->connecting()
+               ? std::min(walk.deadline, walk.connect_deadline)
+               : walk.deadline;
+  };
+  std::vector<struct pollfd> fds;
+  std::vector<std::pair<size_t, Walk*>> polled;  // parallel to fds
+  for (;;) {
+    // Every live walk has exactly one attempt in flight, so a call that is
+    // not done always contributes a descriptor.
+    fds.clear();
+    polled.clear();
+    Clock::time_point wake = Clock::time_point::max();
+    for (size_t s : shards) {
+      ShardCall& call = scatter->calls[s];
+      if (call.done) continue;
+      if (call.hedge_possible && !call.hedged) {
+        wake = std::min(wake, call.hedge_at);
+      }
+      for (Walk& walk : call.walks) {
+        if (!walk.conn) continue;
+        fds.push_back({walk.conn->fd(), walk.conn->PollEvents(), 0});
+        polled.emplace_back(s, &walk);
+        wake = std::min(wake, expiry(walk));
       }
     }
-    if (!have_hedge) {
-      scatter->cv.wait(*lock);
-      continue;
+    if (fds.empty()) return;
+
+    // Round the wait up, never down: waking before the nearest hedge time
+    // or deadline would only spin.
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        std::max(wake - now, Clock::duration::zero()));
+    const int rc = poll(fds.data(), fds.size(),
+                        static_cast<int>(std::min<int64_t>(
+                            wait.count(), std::numeric_limits<int>::max())));
+    if (rc < 0 && errno != EINTR) {
+      // Not expected on valid descriptors; back off instead of spinning.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    if (scatter->cv.wait_until(*lock, next) != std::cv_status::timeout) {
-      continue;
+    now = Clock::now();
+
+    for (size_t i = 0; i < fds.size(); ++i) {
+      const size_t s = polled[i].first;
+      Walk* walk = polled[i].second;
+      // An earlier event this round may have completed the call (and
+      // closed this walk's attempt).
+      if (scatter->calls[s].done || !walk->conn) continue;
+      if (rc > 0 && fds[i].revents != 0) {
+        const bool connecting = walk->conn->connecting();
+        QueryClient::Reply reply;
+        Status st = walk->conn->Progress(fds[i].revents, &reply);
+        if (st.ok() && connecting && !walk->conn->connecting()) {
+          walk->start = Clock::now();  // the frame goes out now
+        }
+        if (!st.ok() || reply.ready) {
+          SubReply sub;
+          if (st.ok()) {
+            st = DecodeLegReply(scatter->req.type, reply, &sub.query,
+                                &sub.neighbors);
+          }
+          AttemptDone(scatter, s, walk, std::move(st), &sub);
+          continue;
+        }
+      }
+      if (expiry(*walk) <= now) {
+        // Expiry closes the connection. A connect that never completed
+        // is a transport failure, as a blocking connect's timeout was; a
+        // reply still due is a leg timeout.
+        const bool connecting = walk->conn->connecting();
+        Status st = walk->conn->Expire(walk->options);
+        if (connecting) {
+          st = Status::Unavailable("QueryClient: connect timed out");
+        }
+        AttemptDone(scatter, s, walk, std::move(st), nullptr);
+      }
     }
-    const auto fire_now = std::chrono::steady_clock::now();
-    for (size_t s = 0; s < scatter->calls.size(); ++s) {
+
+    for (size_t s : shards) {
       ShardCall& call = scatter->calls[s];
       if (call.done || call.hedged || !call.hedge_possible) continue;
-      if (call.hedge_at > fire_now) continue;
+      if (call.hedge_at > now) continue;
       // A hedge is an extra leg like any failover: it needs deadline
       // budget left to be useful and a retry token to be affordable.
       uint32_t leg_deadline = 0;
-      if (!LegDeadline(*req, &leg_deadline)) {
+      if (!LegDeadline(scatter->req, &leg_deadline)) {
         call.hedge_possible = false;
         continue;
       }
@@ -747,238 +781,178 @@ void Coordinator::AwaitLegs(size_t expected,
         continue;
       }
       call.hedged = true;
-      ++call.outstanding;
       shards_[s]->hedges_fired.fetch_add(1, std::memory_order_relaxed);
-      fanout_->Submit([this, s, req, k = shard_k[s], scatter] {
-        RunAttempt(s, /*replica_offset=*/1, req, k, scatter, s,
-                   /*is_hedge=*/true);
-      });
+      StartWalk(scatter, s, /*hedge=*/true);
     }
   }
 }
 
-void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
-                             std::shared_ptr<const SubRequest> req,
-                             uint32_t k_for_shard,
-                             std::shared_ptr<Scatter> scatter,
-                             size_t call_index, bool is_hedge) {
+void Coordinator::StartWalk(Scatter* scatter, size_t shard_index,
+                            bool hedge) {
   Shard* shard = shards_[shard_index].get();
-  if (!is_hedge) {
+  if (!hedge) {
     shard->requests.fetch_add(1, std::memory_order_relaxed);
     AccrueRetryBudget(shard);
   }
-
-  // Walk the replicas in preference order from replica_offset, admitting
-  // each through its circuit breaker. Pass 0 honors the breakers; if it
-  // admits nothing (every breaker open, probes taken), pass 1 tries them
-  // all anyway — a likely-failing attempt beats a certain failure, and
-  // one success closes the breaker.
-  const size_t n = shard->replicas.size();
-  Status last = Status::Unavailable("no replica attempted");
-  SubReply reply;
-  bool success = false;
-  bool attempted = false;
-  bool admitted_any = false;
-  bool stop = false;
-  for (int pass = 0; pass < 2 && !stop; ++pass) {
-    if (pass == 1 && admitted_any) break;
-    for (size_t i = 0; i < n && !stop; ++i) {
-      Replica* replica = shard->replicas[(replica_offset + i) % n].get();
-      bool is_probe = false;
-      if (pass == 0) {
-        const Admit admit = AdmitReplica(replica);
-        if (admit == Admit::kSkip) {
-          shard->breaker_short_circuits.fetch_add(1,
-                                                  std::memory_order_relaxed);
-          continue;
-        }
-        is_probe = admit == Admit::kProbe;
-        admitted_any = true;
-      }
-      {
-        // The other attempt may have completed the call while we were
-        // failing over; stop burning backends on an answered question.
-        std::lock_guard<std::mutex> lock(scatter->mu);
-        if (scatter->calls[call_index].done) {
-          if (is_probe) EndProbe(replica);
-          stop = true;
-          break;
-        }
-      }
-      // The leg gets min(remaining budget, sub_deadline_ms): a request
-      // that arrived with 100 ms can never spend 500 ms in retries here.
-      QueryOptions leg_options = req->options;
-      leg_options.exchange_slack_ms = config_.leg_slack_ms;
-      if (!LegDeadline(*req, &leg_options.deadline_ms)) {
-        last = Status::DeadlineExceeded(
-            "deadline budget exhausted before another backend leg");
-        if (is_probe) EndProbe(replica);
-        stop = true;
-        break;
-      }
-      // A failover leg (any attempt after the first) costs one retry
-      // token; a hedge leg paid its token when the hedge fired.
-      if (attempted) {
-        if (!SpendRetryToken(shard)) {
-          shard->retries_denied.fetch_add(1, std::memory_order_relaxed);
-          last = Status::Unavailable("shard retry budget exhausted");
-          if (is_probe) EndProbe(replica);
-          stop = true;
-          break;
-        }
-        shard->failovers.fetch_add(1, std::memory_order_relaxed);
-      }
-      attempted = true;
-
-      bool aborted = false;
-      last = AttemptReplica(shard, replica, *req, leg_options, k_for_shard,
-                            &reply, scatter.get(), call_index, &aborted);
-      if (is_probe) EndProbe(replica);
-      if (aborted) {
-        // The other attempt won mid-exchange: the abort is what failed
-        // this leg, so its outcome says nothing about the replica.
-        stop = true;
-        break;
-      }
-      if (last.ok()) {
-        MarkReplicaSuccess(replica);
-        success = true;
-        stop = true;
-        break;
-      }
-      shard->backend_errors.fetch_add(1, std::memory_order_relaxed);
-      if (last.code() == StatusCode::kDeadlineExceeded) {
-        leg_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!ExhaustionFailure(last)) {
-        stop = true;  // semantic error: every replica would repeat it
-        break;
-      }
-      MarkReplicaFailure(replica);
-    }
-  }
-
-  std::lock_guard<std::mutex> lock(scatter->mu);
-  ShardCall& call = scatter->calls[call_index];
-  --call.outstanding;
-  if (call.done) return;  // the other attempt won; nothing to record
-  if (success) {
-    call.done = true;
-    call.status = Status::OK();
-    call.reply = std::move(reply);
-    if (is_hedge) {
-      shard->hedges_won.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Reap the losing attempt's in-flight exchange: shut its socket down
-    // so its read fails now instead of running out the leg deadline on a
-    // connection that must not be pooled anyway. The loser deregisters
-    // under this same mutex before destroying its client, so every
-    // pointer here is live.
-    for (QueryClient* inflight : call.inflight) inflight->Abort();
-    ++scatter->done_count;
-    scatter->cv.notify_all();
-    return;
-  }
-  call.status = last;
-  if (call.outstanding > 0) return;  // a hedge is still in flight
-  // Don't wait out a pending hedge timer: this attempt already walked the
-  // replicas, so a hedge could only repeat what just failed.
-  call.done = true;
-  ++scatter->done_count;
-  scatter->cv.notify_all();
+  Walk* walk = &scatter->calls[shard_index].walks[hedge ? 1 : 0];
+  AdvanceWalk(scatter, shard_index, walk);
 }
 
-Status Coordinator::AttemptReplica(Shard* shard, Replica* replica,
-                                   const SubRequest& req,
-                                   const QueryOptions& leg_options,
-                                   uint32_t k_for_shard, SubReply* out,
-                                   Scatter* scatter, size_t call_index,
-                                   bool* aborted) {
-  *aborted = false;
-  auto client = AcquireClient(replica);
-  if (!client.ok()) return client.status();
-  QueryClient conn = std::move(*client);
+void Coordinator::AdvanceWalk(Scatter* scatter, size_t shard_index,
+                              Walk* walk) {
+  // Walk the replicas in preference order from the walk's first replica,
+  // admitting each through its circuit breaker. Pass 0 honors the
+  // breakers; if it admits nothing (every breaker open, probes taken),
+  // pass 1 tries them all anyway — a likely-failing attempt beats a
+  // certain failure, and one success closes the breaker.
+  Shard* shard = shards_[shard_index].get();
+  const size_t n = shard->replicas.size();
+  const size_t first =  // the hedge walk (slot 1) starts at replica 1
+      static_cast<size_t>(walk - scatter->calls[shard_index].walks);
+  for (;;) {
+    if (walk->tried == n) {
+      if (walk->pass == 1 || walk->admitted_any) break;
+      walk->pass = 1;
+      walk->tried = 0;
+    }
+    Replica* replica = shard->replicas[(first + walk->tried++) % n].get();
+    bool probe = false;
+    if (walk->pass == 0) {
+      const Admit admit = AdmitReplica(replica);
+      if (admit == Admit::kSkip) {
+        shard->breaker_short_circuits.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      probe = admit == Admit::kProbe;
+      walk->admitted_any = true;
+    }
+    // The leg gets min(remaining budget, sub_deadline_ms): a request
+    // that arrived with 100 ms can never spend 500 ms in retries here.
+    walk->options = scatter->req.options;
+    if (!LegDeadline(scatter->req, &walk->options.deadline_ms)) {
+      walk->last = Status::DeadlineExceeded(
+          "deadline budget exhausted before another backend leg");
+      if (probe) EndProbe(replica);
+      break;
+    }
+    // A failover leg (any attempt after the first) costs one retry
+    // token; a hedge leg paid its token when the hedge fired.
+    if (walk->attempted) {
+      if (!SpendRetryToken(shard)) {
+        shard->retries_denied.fetch_add(1, std::memory_order_relaxed);
+        walk->last = Status::Unavailable("shard retry budget exhausted");
+        if (probe) EndProbe(replica);
+        break;
+      }
+      shard->failovers.fetch_add(1, std::memory_order_relaxed);
+    }
+    walk->attempted = true;
+    walk->replica = replica;
+    walk->probe = probe;
+    Status started = StartAttempt(*scatter, shard_index, walk);
+    if (started.ok()) return;  // in flight: the poll loop takes it on
+    if (probe) EndProbe(replica);
+    walk->last = started;
+    if (!RecordFailure(shard, replica, started)) break;
+  }
+  EndWalk(scatter, shard_index, walk);
+}
 
-  {
-    // Register for the reap protocol: if the other attempt completes the
-    // call while this exchange runs, it Abort()s this connection.
-    std::lock_guard<std::mutex> lock(scatter->mu);
-    ShardCall& call = scatter->calls[call_index];
-    if (call.done) {
-      *aborted = true;
-    } else {
-      call.inflight.push_back(&conn);
-    }
+Status Coordinator::StartAttempt(const Scatter& scatter, size_t shard_index,
+                                 Walk* walk) {
+  const SubRequest& req = scatter.req;
+  std::vector<uint8_t> knn_body;
+  if (req.type == MessageType::kKnn) {
+    protocol::KnnRequest knn;
+    knn.point = req.point;
+    knn.k = scatter.shard_k[shard_index];
+    WireWriter w(&knn_body);
+    protocol::EncodeKnnRequest(knn, &w);
   }
-  if (*aborted) {
-    // Never registered, never used: the connection is still poolable.
-    ReleaseClient(replica, std::move(conn));
-    return Status::Unavailable("attempt aborted: call already answered");
-  }
+  const std::vector<uint8_t>& body =
+      req.type == MessageType::kKnn ? knn_body : req.body;
 
-  const auto start = std::chrono::steady_clock::now();
-  Status st;
-  switch (req.type) {
-    case MessageType::kPointCount: {
-      auto result = conn.PointCountDetailed(Box(req.lo, req.hi), leg_options);
-      if (result.ok()) out->query = FromClientResult(std::move(*result));
-      st = result.status();
-      break;
-    }
-    case MessageType::kBoxQuery: {
-      auto result = conn.BoxQuery(Box(req.lo, req.hi), req.limit, leg_options);
-      if (result.ok()) out->query = FromClientResult(std::move(*result));
-      st = result.status();
-      break;
-    }
-    case MessageType::kKnn: {
-      auto result = conn.Knn(req.point, k_for_shard, leg_options);
-      if (result.ok()) out->neighbors = std::move(result->neighbors);
-      st = result.status();
-      break;
-    }
-    case MessageType::kTableSample: {
-      auto result = conn.TableSample(Box(req.lo, req.hi), req.percent, req.n,
-                                     req.sample_seed, leg_options);
-      if (result.ok()) out->query = FromClientResult(std::move(*result));
-      st = result.status();
-      break;
-    }
-    default:
-      st = Status::Internal("ScatterGather on a non-query type");
-      break;
-  }
+  auto conn = AcquireClient(walk->replica);
+  if (!conn.ok()) return conn.status();
+  auto sent = conn->Send(req.type, walk->options, body);
+  if (!sent.ok()) return sent.status();
+  QueryClient::Reply none;  // no reply can be due before the frame leaves
+  MDS_RETURN_NOT_OK(conn->Progress(0, &none));  // writes it on a live conn
+  const auto now = std::chrono::steady_clock::now();
+  walk->start = now;
+  walk->deadline = now + std::chrono::milliseconds(
+                             walk->options.deadline_ms == 0
+                                 ? kNoDeadlineLegMs
+                                 : walk->options.deadline_ms +
+                                       config_.leg_slack_ms);
+  walk->connect_deadline =
+      config_.connect_timeout_ms == 0
+          ? std::chrono::steady_clock::time_point::max()
+          : now + std::chrono::milliseconds(config_.connect_timeout_ms);
+  walk->conn.emplace(std::move(*conn));
+  return Status::OK();
+}
 
-  {
-    // Deregister before the winner (or this frame) can invalidate `conn`.
-    std::lock_guard<std::mutex> lock(scatter->mu);
-    ShardCall& call = scatter->calls[call_index];
-    call.inflight.erase(
-        std::remove(call.inflight.begin(), call.inflight.end(), &conn),
-        call.inflight.end());
-    *aborted = call.done;
-  }
-  if (*aborted) {
-    // The winner may have shut this socket down mid-exchange — or right
-    // after the exchange finished, which still poisons the connection.
-    // Either way it is closed here, never pooled.
-    return st.ok() ? Status::Unavailable("attempt aborted by winner")
-                   : std::move(st);
-  }
-
-  if (st.ok()) {
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    shard->latency_us.Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-            .count()));
-  }
-  // A failed exchange poisoned the client (connected() == false) and
-  // ReleaseClient only pools connections that are still good; a semantic
-  // error from the backend (e.g. InvalidArgument) leaves the connection
-  // healthy. The poisoned fd closes when `conn` goes out of scope — after
-  // the deregistration above, so no Abort() can race it.
+void Coordinator::AttemptDone(Scatter* scatter, size_t shard_index,
+                              Walk* walk, Status status, SubReply* reply) {
+  Shard* shard = shards_[shard_index].get();
+  Replica* replica = walk->replica;
+  if (walk->probe) EndProbe(replica);
+  // A failed exchange closed its connection; a success or a semantic
+  // error from the backend (e.g. InvalidArgument) leaves it healthy, and
+  // ReleaseClient pools only connections that are still open.
+  QueryClient conn = std::move(*walk->conn);
+  walk->conn.reset();
   ReleaseClient(replica, std::move(conn));
-  return st;
+  if (!status.ok()) {
+    walk->last = std::move(status);
+    if (RecordFailure(shard, replica, walk->last)) {
+      AdvanceWalk(scatter, shard_index, walk);
+    } else {
+      EndWalk(scatter, shard_index, walk);
+    }
+    return;
+  }
+
+  shard->latency_us.Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - walk->start)
+          .count()));
+  MarkReplicaSuccess(replica);
+  ShardCall& call = scatter->calls[shard_index];
+  call.done = true;
+  call.status = Status::OK();
+  call.reply = std::move(*reply);
+  const bool hedge = walk == &call.walks[1];
+  if (hedge) shard->hedges_won.fetch_add(1, std::memory_order_relaxed);
+  // Reap the losing walk: its connection has a stale reply due, so it is
+  // closed here, never pooled, and its outcome says nothing about its
+  // replica.
+  Walk& loser = call.walks[hedge ? 0 : 1];
+  if (loser.conn && loser.probe) EndProbe(loser.replica);
+  loser.conn.reset();
+}
+
+bool Coordinator::RecordFailure(Shard* shard, Replica* replica,
+                                const Status& status) {
+  shard->backend_errors.fetch_add(1, std::memory_order_relaxed);
+  if (status.code() == StatusCode::kDeadlineExceeded) {
+    leg_timeouts_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // A semantic error: every replica would repeat it.
+  if (!ExhaustionFailure(status)) return false;
+  MarkReplicaFailure(replica);
+  return true;
+}
+
+void Coordinator::EndWalk(Scatter* scatter, size_t shard_index, Walk* walk) {
+  ShardCall& call = scatter->calls[shard_index];
+  call.status = walk->last;
+  // A walk with an attempt in flight can still answer.
+  if (call.walks[0].conn || call.walks[1].conn) return;
+  // Don't wait out a pending hedge timer: this walk already tried the
+  // replicas, so a hedge could only repeat what just failed.
+  call.done = true;
 }
 
 bool Coordinator::LegDeadline(const SubRequest& req,
@@ -1051,8 +1025,7 @@ Result<QueryClient> Coordinator::AcquireClient(Replica* replica) {
       return client;
     }
   }
-  return QueryClient::Connect(replica->addr.host, replica->addr.port,
-                              config_.connect_timeout_ms);
+  return QueryClient::Open(replica->addr.host, replica->addr.port);
 }
 
 void Coordinator::ReleaseClient(Replica* replica, QueryClient client) {

@@ -3,15 +3,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/histogram.h"
-#include "common/parallel.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "geom/box.h"
@@ -57,7 +56,8 @@ struct CoordinatorConfig {
   /// Per-frame read deadline on client connections (slow-loris / idle
   /// close); 0 = none.
   uint32_t idle_timeout_ms = 30000;
-  /// TCP connect bound for backend connections.
+  /// TCP handshake bound for new backend connections; 0 = none. The
+  /// reply wait after the handshake is the leg deadline.
   uint64_t connect_timeout_ms = 2000;
   /// Deadline applied to backend sub-requests when the client request
   /// carries none: a wedged backend must not stall a fan-out forever —
@@ -90,17 +90,13 @@ struct CoordinatorConfig {
   /// are never denied.
   double retry_budget_ratio = 0.1;
   uint32_t retry_budget_cap = 32;
-  /// Client-side exchange slack for backend legs (QueryOptions::
-  /// exchange_slack_ms): the leg's read deadline fires this soon after
-  /// the leg's deadline share, so a blackholed backend costs ~budget+
-  /// leg_slack_ms, not budget+2s.
+  /// Slack on a backend leg's reply wait: the leg expires this long after
+  /// its deadline share, so a blackholed backend costs ~budget +
+  /// leg_slack_ms.
   uint32_t leg_slack_ms = 25;
   /// Seed for backoff jitter; 0 = seeded from entropy. Fixed seeds make
   /// chaos-campaign runs reproducible.
   uint64_t jitter_seed = 0;
-  /// Cap of the backend-leg thread pool shared by all in-flight fan-outs
-  /// (threads start on demand); 0 = min(32, max(4, 2 * total replicas)).
-  unsigned fanout_threads = 0;
   /// Idle pooled connections kept per replica.
   size_t pool_connections_per_replica = 8;
 };
@@ -182,7 +178,7 @@ protocol::QueryReply MergeQueryReplies(
 /// merged reply from the surviving shards (kFlagPartial + kFlagDegraded,
 /// shard coverage on the wire) when a shard is exhausted.
 ///
-/// Hedging: while a shard's primary attempt is outstanding, the fan-out
+/// Hedging: while a shard's primary attempt is outstanding, the scatter
 /// waits the hedge delay (fixed, or the shard's observed p99); on expiry
 /// a second attempt starts on the next replica, and the first success
 /// wins. Hedges fired/won are counted per shard.
@@ -193,9 +189,16 @@ protocol::QueryReply MergeQueryReplies(
 /// not threads — and parses, admits and answers Health/Stats inline. Each
 /// admitted request runs on a worker from a pool capped at max_in_flight
 /// (threads start on demand), so an admitted fan-out never waits behind a
-/// blocked one; the worker blocks in the scatter while the legs run on a
-/// shared fan-out pool (so one request's shards proceed in parallel) and
-/// posts the merged reply back to the connection's loop. Pipelined
+/// blocked one. That worker runs all of the request's legs itself: it
+/// writes each leg's frame on a pooled (or freshly, non-blockingly
+/// connected) backend connection and waits on every outstanding attempt
+/// in one poll(2) whose timeout is the nearest hedge time or leg
+/// deadline, so one request's shards proceed in parallel and no attempt
+/// (a hung handshake, a reply that arrives in part) delays another. Hedges,
+/// failovers and expiries are handled in that same loop, and a winning
+/// attempt closes the loser's connection on the spot. The worker then
+/// posts the merged reply back to the connection's loop. mdsc therefore
+/// runs one I/O thread plus one worker per in-flight request. Pipelined
 /// requests on one connection execute concurrently and their replies may
 /// arrive out of request order; clients correlate by request id. Graceful
 /// drain mirrors mdsd because it is mdsd's: RequestDrain() sheds new query
@@ -276,11 +279,12 @@ class Coordinator final : private WireFrontEnd::Backend {
     Histogram latency_us;  // successful sub-request round trips
   };
 
-  /// One decoded client query request, in the shape sub-requests are
-  /// re-issued in (per-shard kNN k varies, so shards cannot share one
-  /// encoded body).
+  /// One decoded client query request, re-issued to the shards.
   struct SubRequest {
     protocol::MessageType type = protocol::MessageType::kPointCount;
+    /// The client's request body, forwarded as is on box-like legs (a kNN
+    /// leg re-encodes it: per-shard k varies).
+    std::vector<uint8_t> body;
     QueryOptions options;
     /// When the client frame was decoded — the zero point the deadline
     /// budget is decremented from before every leg.
@@ -306,29 +310,44 @@ class Coordinator final : private WireFrontEnd::Backend {
     std::vector<protocol::WireNeighbor> neighbors;  // kKnn
   };
 
-  /// Per-shard slot of one fan-out: attempt jobs complete it under mu.
+  /// One walk over a shard's replicas in preference order — the primary
+  /// from replica 0, a hedge from replica 1 — with at most one attempt in
+  /// flight; a retryable failure moves it to the next admitted replica
+  /// while the deadline and retry budgets allow.
+  struct Walk {
+    int pass = 0;       ///< 0 honors the breakers, 1 tries every replica
+    size_t tried = 0;   ///< replicas visited in this pass
+    bool attempted = false;
+    bool admitted_any = false;
+    Status last = Status::Unavailable("no replica attempted");
+    /// The attempt in flight; empty once the walk has ended.
+    std::optional<QueryClient> conn;
+    Replica* replica = nullptr;
+    bool probe = false;
+    QueryOptions options;  ///< the leg's deadline share
+    std::chrono::steady_clock::time_point start;     ///< request written
+    std::chrono::steady_clock::time_point deadline;  ///< leg expires
+    /// A new connection's handshake expires (max = no connect bound);
+    /// only while the connection is still connecting.
+    std::chrono::steady_clock::time_point connect_deadline;
+  };
+
+  /// Per-shard slot of one request's scatter.
   struct ShardCall {
     Status status = Status::OK();
     SubReply reply;
-    bool done = false;     ///< a success landed, or every attempt failed
-    bool hedged = false;   ///< a hedge attempt has been launched
-    int outstanding = 0;   ///< attempts still running
-    std::chrono::steady_clock::time_point hedge_at;
+    bool done = false;    ///< a success landed, or every walk failed
+    bool hedged = false;  ///< the hedge walk has been started
     bool hedge_possible = false;
-    /// Clients with an exchange in flight for this call, registered under
-    /// Scatter::mu. Whichever attempt completes the call Abort()s the
-    /// rest, so a losing hedge leg fails its read promptly instead of
-    /// sitting on a connection with a stale correlated reply due.
-    std::vector<QueryClient*> inflight;
+    std::chrono::steady_clock::time_point hedge_at;
+    Walk walks[2];  ///< [0] primary, [1] hedge
   };
 
-  /// One client request's scatter state, shared by the worker and
-  /// the attempt jobs.
+  /// One client request's legs, owned by the worker that runs them.
   struct Scatter {
-    std::mutex mu;
-    std::condition_variable cv;
+    const SubRequest& req;
+    std::vector<uint32_t> shard_k;  ///< per-shard kNN k
     std::vector<ShardCall> calls;
-    size_t done_count = 0;
   };
 
   // --- WireFrontEnd::Backend -----------------------------------------------
@@ -365,18 +384,10 @@ class Coordinator final : private WireFrontEnd::Backend {
                        std::vector<protocol::WireNeighbor>* neighbors,
                        ScatterOutcome* outcome);
 
-  /// Submits the primary attempt of every shard in `shards` (caller holds
-  /// scatter->mu).
-  void LaunchLegs(const std::vector<size_t>& shards,
-                  const std::shared_ptr<const SubRequest>& req,
-                  const std::vector<uint32_t>& shard_k,
-                  const std::shared_ptr<Scatter>& scatter);
-  /// Waits under `lock` until `expected` calls are done, firing hedges as
-  /// their delays expire.
-  void AwaitLegs(size_t expected, const std::shared_ptr<const SubRequest>& req,
-                 const std::vector<uint32_t>& shard_k,
-                 const std::shared_ptr<Scatter>& scatter,
-                 std::unique_lock<std::mutex>* lock);
+  /// Starts the primary walk of every shard in `shards` and runs the
+  /// poll loop until each of their calls is done, firing hedges as their
+  /// delays expire.
+  void RunLegs(const std::vector<size_t>& shards, Scatter* scatter);
 
   /// Per-shard bounding boxes (dim 0 = not reported, never pruned),
   /// replaced as a whole so a worker reads one consistent set.
@@ -394,23 +405,20 @@ class Coordinator final : private WireFrontEnd::Backend {
     return reported.dim() == dim_ ? std::move(reported) : Box();
   }
 
-  /// One attempt: walk the shard's replicas starting at replica_offset,
-  /// failing over on retryable errors while the deadline and retry
-  /// budgets allow, and complete the ShardCall. The request is shared
-  /// because a losing hedge can outlive the client request's stack frame.
-  void RunAttempt(size_t shard_index, size_t replica_offset,
-                  std::shared_ptr<const SubRequest> req, uint32_t k_for_shard,
-                  std::shared_ptr<Scatter> scatter, size_t call_index,
-                  bool is_hedge);
-  /// One replica exchange under `leg_options` (the per-leg deadline
-  /// share). Returns the backend's status; *aborted reports that another
-  /// attempt completed the call while this exchange ran — an aborted
-  /// exchange's connection is never pooled and its outcome must not
-  /// count against the replica.
-  Status AttemptReplica(Shard* shard, Replica* replica, const SubRequest& req,
-                        const QueryOptions& leg_options, uint32_t k_for_shard,
-                        SubReply* out, Scatter* scatter, size_t call_index,
-                        bool* aborted);
+  /// Walk steps. StartWalk begins a primary (counted as a shard request)
+  /// or hedge walk; AdvanceWalk starts the next admitted replica's attempt
+  /// or ends the walk; AttemptDone takes an attempt's outcome; EndWalk
+  /// completes the call once no walk of it has an attempt in flight.
+  void StartWalk(Scatter* scatter, size_t shard_index, bool hedge);
+  void AdvanceWalk(Scatter* scatter, size_t shard_index, Walk* walk);
+  void AttemptDone(Scatter* scatter, size_t shard_index, Walk* walk,
+                   Status status, SubReply* reply);
+  void EndWalk(Scatter* scatter, size_t shard_index, Walk* walk);
+  /// Counts a failed attempt against its replica; false = a semantic
+  /// error every replica would repeat, so the walk stops.
+  bool RecordFailure(Shard* shard, Replica* replica, const Status& status);
+  /// Acquires a connection to `replica` and sends the leg's frame on it.
+  Status StartAttempt(const Scatter& scatter, size_t shard_index, Walk* walk);
 
   /// Remaining end-to-end deadline budget for one more leg. False = the
   /// budget is spent (only possible when the request carried a deadline).
@@ -432,6 +440,7 @@ class Coordinator final : private WireFrontEnd::Backend {
   void AccrueRetryBudget(Shard* shard);
   bool SpendRetryToken(Shard* shard);
 
+  /// A pooled connection, else a non-blocking connect in progress.
   Result<QueryClient> AcquireClient(Replica* replica);
   void ReleaseClient(Replica* replica, QueryClient client);
   void MarkReplicaFailure(Replica* replica);
@@ -458,14 +467,12 @@ class Coordinator final : private WireFrontEnd::Backend {
   /// Replies answered from a strict subset of shards (kFlagPartial).
   std::atomic<uint64_t> partial_replies_{0};
 
-  /// Backoff jitter source (common/rng.h is not thread-safe; attempts on
-  /// many fan-out threads mark failures concurrently).
+  /// Backoff jitter source (common/rng.h is not thread-safe; workers
+  /// mark failures concurrently).
   mutable std::mutex rng_mu_;
   mutable Rng rng_;
 
-  // The threads (legs, then the front end that submits them), declared
-  // after everything they touch.
-  std::unique_ptr<ThreadPool> fanout_;
+  // The front end's threads, declared after everything they touch.
   WireFrontEnd front_;
 };
 

@@ -281,27 +281,19 @@ void WireFrontEnd::OnConnEvent(const std::shared_ptr<Conn>& conn,
 bool WireFrontEnd::ProcessFrames(const std::shared_ptr<Conn>& conn) {
   size_t frames = 0;
   for (;;) {
-    if (conn->bsock.size() < protocol::kFramePrefixBytes) break;
-    WireReader prefix(conn->bsock.data(), protocol::kFramePrefixBytes);
-    const uint32_t magic = prefix.GetU32();
-    const uint32_t len = prefix.GetU32();
-    const uint32_t crc = prefix.GetU32();
-    if (magic != protocol::kFrameMagic || len > protocol::kMaxPayloadBytes) {
+    size_t frame_bytes = 0;
+    if (!protocol::CheckFrame(conn->bsock.data(), conn->bsock.size(),
+                              &frame_bytes)
+             .ok()) {
       counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       StopReading(conn);
       return false;
     }
-    if (conn->bsock.size() < protocol::kFramePrefixBytes + len) break;
+    if (conn->bsock.size() < frame_bytes) break;
     const uint8_t* body = conn->bsock.data() + protocol::kFramePrefixBytes;
-    if (Crc32c(body, len) != crc) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      StopReading(conn);
-      return false;
-    }
-    std::vector<uint8_t> payload(body, body + len);
-    conn->bsock.Consume(protocol::kFramePrefixBytes + len);
-    counters_.bytes_in.fetch_add(protocol::kFramePrefixBytes + len,
-                                 std::memory_order_relaxed);
+    std::vector<uint8_t> payload(body, conn->bsock.data() + frame_bytes);
+    conn->bsock.Consume(frame_bytes);
+    counters_.bytes_in.fetch_add(frame_bytes, std::memory_order_relaxed);
     ++frames;
     if (!HandleFrame(conn, std::move(payload))) {
       StopReading(conn);
@@ -378,6 +370,7 @@ bool WireFrontEnd::HandleFrame(const std::shared_ptr<Conn>& conn,
   }
 
   // Admission control: reject rather than buffer beyond the cap.
+  size_t in_flight = 0;
   {
     std::unique_lock<std::mutex> lock(admit_mu_);
     if (state_.load() != State::kRunning) {
@@ -396,11 +389,14 @@ bool WireFrontEnd::HandleFrame(const std::shared_ptr<Conn>& conn,
       return true;
     }
     ++in_flight_;
+    in_flight = in_flight_;
     RelaxedMax(&counters_.in_flight_peak, in_flight_);
   }
   req.admitted = true;
   ++conn->admitted_open;
-  workers_->Submit([this, r = std::move(req)]() mutable { Run(&r); });
+  // Admitted requests bound the workers they need: one each.
+  workers_->Submit([this, r = std::move(req)]() mutable { Run(&r); },
+                   in_flight);
   return true;
 }
 

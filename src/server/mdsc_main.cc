@@ -5,7 +5,7 @@
 //        [--port=N] [--port-file=PATH]
 //        [--max-in-flight=N] [--idle-timeout-ms=N]
 //        [--sub-deadline-ms=N] [--hedge-delay-ms=N]
-//        [--connect-timeout-ms=N] [--fanout-threads=N]
+//        [--connect-timeout-ms=N]
 //        [--breaker-failures=K] [--replica-backoff-ms=N]
 //        [--replica-backoff-max-ms=N] [--retry-budget-ratio=R]
 //        [--retry-budget-cap=N] [--leg-slack-ms=N] [--jitter-seed=N]
@@ -54,7 +54,7 @@ int Usage() {
                "[--max-in-flight=N]\n"
                "            [--idle-timeout-ms=N] [--sub-deadline-ms=N] "
                "[--hedge-delay-ms=N]\n"
-               "            [--connect-timeout-ms=N] [--fanout-threads=N]\n"
+               "            [--connect-timeout-ms=N]\n"
                "            [--breaker-failures=K] [--replica-backoff-ms=N]\n"
                "            [--replica-backoff-max-ms=N] "
                "[--retry-budget-ratio=R]\n"
@@ -92,8 +92,6 @@ int main(int argc, char** argv) {
       config.hedge_delay_ms = static_cast<uint32_t>(std::stoul(v));
     } else if (ParseFlag(argv[i], "--connect-timeout-ms", &v)) {
       config.connect_timeout_ms = std::stoull(v);
-    } else if (ParseFlag(argv[i], "--fanout-threads", &v)) {
-      config.fanout_threads = static_cast<unsigned>(std::stoul(v));
     } else if (ParseFlag(argv[i], "--breaker-failures", &v)) {
       config.breaker_failure_threshold = static_cast<uint32_t>(std::stoul(v));
       if (config.breaker_failure_threshold == 0) {

@@ -442,11 +442,10 @@ Status DecodeReloadReply(WireReader* r, ReloadReply* reply) {
   return DecodeBoundsTail(r, &reply->bounds);
 }
 
-Status ReadFrame(Socket* sock, const IoDeadline& deadline,
-                 std::vector<uint8_t>* payload) {
-  uint8_t prefix[kFramePrefixBytes];
-  MDS_RETURN_NOT_OK(sock->ReadFull(prefix, sizeof(prefix), deadline));
-  WireReader r(prefix, sizeof(prefix));
+Status CheckFrame(const uint8_t* data, size_t size, size_t* frame_bytes) {
+  *frame_bytes = kFramePrefixBytes;
+  if (size < kFramePrefixBytes) return Status::OK();
+  WireReader r(data, kFramePrefixBytes);
   const uint32_t magic = r.GetU32();
   const uint32_t len = r.GetU32();
   const uint32_t crc = r.GetU32();
@@ -457,26 +456,32 @@ Status ReadFrame(Socket* sock, const IoDeadline& deadline,
     return Status::InvalidArgument("protocol: frame length " +
                                    std::to_string(len) + " exceeds cap");
   }
-  payload->resize(len);
-  Status body = sock->ReadFull(payload->data(), len, deadline);
+  *frame_bytes += len;
+  if (size < *frame_bytes) return Status::OK();
+  if (Crc32c(data + kFramePrefixBytes, len) != crc) {
+    return Status::Corruption("protocol: frame CRC mismatch");
+  }
+  return Status::OK();
+}
+
+Status ReadFrame(Socket* sock, const IoDeadline& deadline,
+                 std::vector<uint8_t>* payload) {
+  std::vector<uint8_t> frame(kFramePrefixBytes);
+  MDS_RETURN_NOT_OK(sock->ReadFull(frame.data(), frame.size(), deadline));
+  size_t frame_bytes = 0;
+  MDS_RETURN_NOT_OK(CheckFrame(frame.data(), frame.size(), &frame_bytes));
+  frame.resize(frame_bytes);
+  Status body = sock->ReadFull(frame.data() + kFramePrefixBytes,
+                               frame_bytes - kFramePrefixBytes, deadline);
   if (body.code() == StatusCode::kNotFound) {
     // A close between prefix and body is a truncated frame, not the clean
     // frame-boundary close NotFound signals.
     return Status::Unavailable("protocol: connection closed mid-frame");
   }
   MDS_RETURN_NOT_OK(body);
-  if (Crc32c(payload->data(), len) != crc) {
-    return Status::Corruption("protocol: frame CRC mismatch");
-  }
+  MDS_RETURN_NOT_OK(CheckFrame(frame.data(), frame.size(), &frame_bytes));
+  payload->assign(frame.begin() + kFramePrefixBytes, frame.end());
   return Status::OK();
-}
-
-Status WriteFrame(Socket* sock, const IoDeadline& deadline,
-                  const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> wire;
-  wire.reserve(kFramePrefixBytes + payload.size());
-  AppendFrame(payload, &wire);
-  return sock->WriteFull(wire.data(), wire.size(), deadline);
 }
 
 }  // namespace protocol

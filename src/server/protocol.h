@@ -329,16 +329,21 @@ Status DecodeReloadReply(WireReader* r, ReloadReply* reply);
 
 // --- Framed socket I/O -----------------------------------------------------
 
+/// The frame check every receiver applies (ReadFrame, both daemons' front
+/// end, QueryClient's receive) to `size` bytes received from a frame
+/// boundary. Sets *frame_bytes to the bytes the frame needs: the prefix
+/// until it has arrived, then prefix + payload_len. The frame is complete
+/// once size >= *frame_bytes, and only then is the CRC verified.
+/// Violations (bad magic or oversized length: kInvalidArgument; CRC
+/// mismatch: kCorruption) mean the caller must close the connection.
+Status CheckFrame(const uint8_t* data, size_t size, size_t* frame_bytes);
+
 /// Reads one frame into `payload`, verifying magic, length bound and CRC.
 /// Failure taxonomy: NotFound = clean close on a frame boundary;
 /// kUnavailable = deadline or mid-frame close; kInvalidArgument /
 /// kCorruption = protocol violation (caller must close the connection).
 Status ReadFrame(Socket* sock, const IoDeadline& deadline,
                  std::vector<uint8_t>* payload);
-
-/// Frames and writes one payload.
-Status WriteFrame(Socket* sock, const IoDeadline& deadline,
-                  const std::vector<uint8_t>& payload);
 
 }  // namespace protocol
 }  // namespace mds

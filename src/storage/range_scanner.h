@@ -87,8 +87,8 @@ void CoalesceRanges(std::vector<RowRange>* ranges);
 /// Thread safety: thread-compatible. One scanner belongs to one thread
 /// (it owns mutable scratch and counters); any number of scanners may
 /// scan the same table through the same (thread-safe) BufferPool
-/// concurrently. That is exactly how ParallelRangeScanner and
-/// QueryEngine::ExecuteBatch parallelize: one private RangeScanner per
+/// concurrently. That is exactly how ParallelRangeScanner and an
+/// inter-query ParallelFor batch parallelize: one private RangeScanner per
 /// worker.
 class RangeScanner {
  public:

@@ -1,5 +1,6 @@
 // Concurrency suite: the thread-safe BufferPool, the ParallelRangeScanner
-// merge contract, QueryEngine::ExecuteBatch and the parallel kd-tree build.
+// merge contract, inter-query ParallelFor batches and the parallel kd-tree
+// build.
 // Every test asserts bit-equality against the serial execution — parallel
 // query execution must be an invisible optimization. Runs under TSan in CI
 // (MDS_SANITIZE=thread).
@@ -15,7 +16,6 @@
 #include "common/parallel.h"
 #include "core/access_path.h"
 #include "core/point_table.h"
-#include "core/query_engine.h"
 #include "sdss/catalog.h"
 #include "storage/pager.h"
 
@@ -192,7 +192,7 @@ TEST_F(ConcurrencyTest, ParallelFullScanHonorsRowLimit) {
   EXPECT_EQ(parallel->objids, serial->objids);
 }
 
-TEST_F(ConcurrencyTest, ExecuteBatchMatchesSerialWithExactCounterTotals) {
+TEST_F(ConcurrencyTest, ParallelForBatchMatchesSerialWithExactCounterTotals) {
   const auto queries = QueryMix(24);
 
   // Serial reference: one query at a time, per-query stats kept.
@@ -211,12 +211,16 @@ TEST_F(ConcurrencyTest, ExecuteBatchMatchesSerialWithExactCounterTotals) {
     paths.push_back(
         std::make_unique<KdTreePath>(Binding(), *kd_index_, poly));
   }
+  std::vector<Result<StorageQueryResult>> results;
+  for (size_t q = 0; q < paths.size(); ++q) {
+    results.emplace_back(Status::Internal("query not executed"));
+  }
+  std::vector<QueryStats> batch_stats(paths.size());
+  TaskPool workers(4);
   const CounterSnapshot before = pool_->Snapshot();
-  QueryEngine::BatchOptions options;
-  options.num_threads = 4;
-  std::vector<QueryStats> batch_stats;
-  auto results =
-      QueryEngine::ExecuteBatch(std::move(paths), options, &batch_stats);
+  ParallelFor(&workers, paths.size(), 1, [&](uint64_t q) {
+    results[q] = ExecuteAccessPath(paths[q].get(), &batch_stats[q]);
+  });
   const CounterSnapshot::Delta delta = pool_->Delta(before);
 
   ASSERT_EQ(results.size(), queries.size());

@@ -3,8 +3,9 @@
 // over 2 and 4 shards against a single mdsd (rows AND ordering), shard
 // pruning (against the single server and against a broadcast to every
 // shard), replica failover under a mid-load backend kill, hedging against
-// a stalled replica, graceful drain, the per-shard routing counters, and
-// resource flatness under connection churn.
+// a stalled replica (silent, mid-handshake, mid-reply), graceful drain,
+// the per-shard routing counters, resource flatness under connection
+// churn, and the thread cost of concurrent scatters.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/chaos_proxy.h"
 #include "common/socket.h"
 #include "sdss/catalog.h"
 #include "server/client.h"
@@ -748,48 +750,135 @@ TEST_F(CoordinatorTest, BackendKillMidLoadFailsOverWithZeroClientErrors) {
 }
 
 TEST_F(CoordinatorTest, HedgeFiresAgainstStalledReplicaAndWins) {
-  // Replica 0 is a black hole: it accepts connections and never replies.
-  // With a fixed hedge delay well under the sub-deadline, the hedge to
-  // replica 1 must answer the client promptly and be counted as won.
-  auto stall = TcpListener::Listen(0);
-  ASSERT_TRUE(stall.ok());
-  const uint16_t stall_port = stall->port();
-  std::atomic<bool> stall_stop{false};
-  std::vector<Socket> swallowed;
-  std::thread stall_thread([&stall, &stall_stop, &swallowed] {
-    while (!stall_stop.load(std::memory_order_relaxed)) {
-      auto sock = stall->Accept(IoDeadline::After(50));
-      if (sock.ok()) swallowed.push_back(std::move(*sock));
+  // Replica 0 stalls; with a fixed hedge delay well under the
+  // sub-deadline, the hedge to replica 1 must answer the client promptly
+  // and be counted as won. Three stalls, none of which may hold up the
+  // hedge: replica 0 accepts and never replies; its TCP handshake never
+  // completes (a full accept backlog that is never drained); it reads the
+  // request, writes part of a reply frame and stops.
+  enum class Stall { kSilent, kHandshake, kPartialReply };
+  for (const Stall kind :
+       {Stall::kSilent, Stall::kHandshake, Stall::kPartialReply}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    auto stall = TcpListener::Listen(0, /*backlog=*/0);
+    ASSERT_TRUE(stall.ok());
+    const uint16_t stall_port = stall->port();
+    std::vector<Socket> held;  // filler connections, then swallowed ones
+    if (kind == Stall::kHandshake) {
+      // Fill the accept queue; later SYNs are dropped, so connects to the
+      // port hang in the handshake.
+      for (int i = 0; i < 4; ++i) {
+        auto filler = TcpConnectStart("127.0.0.1", stall_port);
+        ASSERT_TRUE(filler.ok());
+        held.push_back(std::move(*filler));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      auto hung = TcpConnect("127.0.0.1", stall_port, 100);
+      ASSERT_FALSE(hung.ok()) << "the kernel completed a handshake past a "
+                                 "full accept backlog";
     }
-  });
+    std::atomic<bool> stall_stop{false};
+    std::thread stall_thread([&, kind] {
+      if (kind == Stall::kHandshake) return;  // never accepts
+      while (!stall_stop.load(std::memory_order_relaxed)) {
+        auto sock = stall->Accept(IoDeadline::After(50));
+        if (!sock.ok()) continue;
+        if (kind == Stall::kPartialReply) {
+          std::vector<uint8_t> request;
+          if (protocol::ReadFrame(&*sock, IoDeadline::After(5000), &request)
+                  .ok()) {
+            // A frame prefix promising 64 payload bytes, then 10 of them.
+            std::vector<uint8_t> part;
+            WireWriter w(&part);
+            w.PutU32(protocol::kFrameMagic);
+            w.PutU32(64);
+            w.PutU32(0);
+            for (int i = 0; i < 10; ++i) w.PutU8(0);
+            (void)sock->WriteFull(part.data(), part.size(),
+                                  IoDeadline::After(1000));
+          }
+        }
+        held.push_back(std::move(*sock));
+      }
+    });
 
-  auto backend = std::make_unique<QueryServer>(single_, ServerConfig{});
-  ASSERT_TRUE(backend->Start().ok());
+    auto backend = std::make_unique<QueryServer>(single_, ServerConfig{});
+    ASSERT_TRUE(backend->Start().ok());
 
-  ShardMap map;
-  map.shards.push_back(
-      {{"127.0.0.1", stall_port}, {"127.0.0.1", backend->port()}});
-  CoordinatorConfig config;
-  config.hedge_delay_ms = 50;
-  config.sub_deadline_ms = 300;
-  Coordinator coordinator(map, config);
-  // Start() probes replica 0, times out, and falls through to replica 1.
-  ASSERT_TRUE(coordinator.Start().ok());
+    ShardMap map;
+    map.shards.push_back(
+        {{"127.0.0.1", stall_port}, {"127.0.0.1", backend->port()}});
+    CoordinatorConfig config;
+    config.hedge_delay_ms = 50;
+    config.sub_deadline_ms = 300;
+    Coordinator coordinator(map, config);
+    // Start() probes replica 0, times out, and falls through to replica 1.
+    ASSERT_TRUE(coordinator.Start().ok());
 
-  QueryClient client = MustConnect(coordinator.port());
-  auto count = client.PointCount(LocusBox(0.5));
-  ASSERT_TRUE(count.ok()) << count.status().ToString();
+    QueryClient client = MustConnect(coordinator.port());
+    const auto start = std::chrono::steady_clock::now();
+    auto count = client.PointCount(LocusBox(0.5));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_LT(elapsed, std::chrono::milliseconds(config.sub_deadline_ms / 2))
+        << "the stalled attempt held up the hedge";
 
-  const auto stats = coordinator.Stats();
-  ASSERT_EQ(stats.shards.size(), 1u);
-  EXPECT_GE(stats.shards[0].hedges_fired, 1u);
-  EXPECT_GE(stats.shards[0].hedges_won, 1u);
+    const auto stats = coordinator.Stats();
+    ASSERT_EQ(stats.shards.size(), 1u);
+    EXPECT_GE(stats.shards[0].hedges_fired, 1u);
+    EXPECT_GE(stats.shards[0].hedges_won, 1u);
 
-  // Shutdown waits out the stalled attempt (sub-deadline + client slack).
-  coordinator.Shutdown();
-  backend->Shutdown();
-  stall_stop.store(true);
-  stall_thread.join();
+    // The hedge's win closed the stalled attempt's connection, so
+    // shutdown has no attempt left to wait out.
+    coordinator.Shutdown();
+    backend->Shutdown();
+    stall_stop.store(true);
+    stall_thread.join();
+  }
+}
+
+TEST_F(CoordinatorTest, SlowReplyOnNewConnectionGetsTheLegDeadline) {
+  // The connect timeout bounds only the handshake: a reply slower than it
+  // but inside sub_deadline_ms must succeed on a new connection as it
+  // would on a pooled one. With no pooling every leg opens a connection.
+  // A zero connect timeout or sub-deadline is no bound at all.
+  struct Bounds {
+    uint64_t connect_timeout_ms;
+    uint32_t sub_deadline_ms;
+  };
+  for (const Bounds bounds : {Bounds{100, 2000}, Bounds{0, 0}}) {
+    SCOPED_TRACE(bounds.connect_timeout_ms);
+    QueryServer backend(single_, ServerConfig{});
+    ASSERT_TRUE(backend.Start().ok());
+    ChaosPolicy slow;
+    slow.latency_ms = 300;  // every request frame waits this long
+    ChaosProxy proxy("127.0.0.1", backend.port(), /*seed=*/1, slow);
+    ASSERT_TRUE(proxy.Start().ok());
+
+    ShardMap map;
+    map.shards.push_back({{"127.0.0.1", proxy.port()}});
+    CoordinatorConfig config;
+    config.connect_timeout_ms = bounds.connect_timeout_ms;
+    config.sub_deadline_ms = bounds.sub_deadline_ms;
+    config.pool_connections_per_replica = 0;
+    Coordinator coordinator(map, config);
+    ASSERT_TRUE(coordinator.Start().ok());
+
+    QueryClient client = MustConnect(coordinator.port());
+    for (int i = 0; i < 2; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      auto count = client.PointCount(LocusBox(0.5));
+      const auto elapsed = std::chrono::steady_clock::now() - start;
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_GE(elapsed, std::chrono::milliseconds(slow.latency_ms));
+    }
+    const auto stats = coordinator.Stats();
+    ASSERT_EQ(stats.shards.size(), 1u);
+    EXPECT_EQ(stats.shards[0].backend_errors, 0u);
+    EXPECT_EQ(stats.deadline_timeouts, 0u);
+    coordinator.Shutdown();
+    backend.Shutdown();
+  }
 }
 
 TEST_F(CoordinatorTest, DrainShedsQueriesButAnswersHealth) {
@@ -1336,6 +1425,47 @@ TEST_F(CoordinatorTest, IdleConnectionsParkWithoutThreads) {
   for (int i = 0; i < kIdle; ++i) {
     ASSERT_TRUE(clients[i].Health().ok()) << "connection " << i;
   }
+}
+
+TEST_F(CoordinatorTest, ConcurrentScatterAddsOnlyWorkerThreads) {
+  // The worker that admitted a request runs all of its shard legs, so 8
+  // concurrent clients whose boxes meet all 4 shards cost at most their 8
+  // workers, not a further pool of leg threads.
+  Topology t =
+      Start({{shard4_[0]}, {shard4_[1]}, {shard4_[2]}, {shard4_[3]}});
+  Box box = Box::Empty(kNumBands);
+  for (const auto& shard : shard4_) {
+    box.Extend(Bounds(shard).lo().data());
+    box.Extend(Bounds(shard).hi().data());
+  }
+  const Routing before = RoutingOf(*t.coordinator);
+  const ProcResources idle = ReadProcResources();
+
+  constexpr int kClients = 8;
+  constexpr int kRequests = 40;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&t, &box] {
+      QueryClient client = MustConnect(t.coordinator->port());
+      for (int i = 0; i < kRequests; ++i) {
+        auto count = client.PointCount(box);
+        ASSERT_TRUE(count.ok()) << count.status().ToString();
+        EXPECT_EQ(*count, kRows);
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  const ProcResources loaded = ReadProcResources();
+
+  const Routing d = Delta(before, RoutingOf(*t.coordinator));
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(d.legs[s], static_cast<uint64_t>(kClients * kRequests)) << s;
+  }
+  std::printf("threads: idle %llu, after %d concurrent clients %llu\n",
+              static_cast<unsigned long long>(idle.threads), kClients,
+              static_cast<unsigned long long>(loaded.threads));
+  EXPECT_LE(loaded.threads, idle.threads + kClients + 2)
+      << "a scatter must not add threads beyond the request's worker";
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "core/index_io.h"
 #include "core/knn.h"
 #include "core/point_table.h"
-#include "core/query_engine.h"
 #include "server/dataset.h"
 #include "storage/mmap_pager.h"
 #include "storage/page_stream.h"
