@@ -2,29 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <utility>
+
+#include "common/frame.h"
 
 namespace mds {
 
 namespace {
 
-/// Wire-frame prefix layout (kept in lockstep with docs/PROTOCOL.md and
-/// src/server/protocol.h; the proxy lives below the server layer, so it
-/// carries its own copy of the three constants it needs).
-constexpr uint32_t kFrameMagic = 0x3151444Du;
-constexpr size_t kFramePrefixBytes = 12;
-constexpr uint32_t kMaxPayloadBytes = 64u << 20;
-
 /// Forwarding chunk for the throttled direction: small enough that the
 /// inter-chunk sleeps approximate a continuous bandwidth cap.
 constexpr size_t kThrottleChunkBytes = 4096;
-
-uint32_t ReadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 }  // namespace
 
@@ -202,9 +190,9 @@ Status ChaosProxy::ReadWholeFrame(Socket* from, std::vector<uint8_t>* frame) {
   frame->resize(kFramePrefixBytes);
   MDS_RETURN_NOT_OK(
       from->ReadFull(frame->data(), kFramePrefixBytes, IoDeadline::Infinite()));
-  const uint32_t magic = ReadU32(frame->data());
-  const uint32_t length = ReadU32(frame->data() + 4);
-  if (magic != kFrameMagic || length > kMaxPayloadBytes) {
+  uint32_t length = 0;
+  uint32_t crc = 0;
+  if (!CheckFramePrefix(frame->data(), &length, &crc).ok()) {
     return Status::InvalidArgument("chaos proxy: stream is not mds frames");
   }
   frame->resize(kFramePrefixBytes + length);

@@ -1,5 +1,6 @@
 #include "common/slab_pool.h"
 
+#include <bit>
 #include <cstring>
 #include <thread>
 
@@ -9,8 +10,12 @@ namespace mds {
 
 namespace {
 
-/// Number of size classes: 256, 512, ..., 1 MiB.
-constexpr size_t kNumClasses = 13;
+/// Size classes: 64 B, then four per octave up to 1 MiB — 80, 96, 112,
+/// 128, 160, ... — so a slice exceeds its request by at most 25%, and an
+/// ~80-byte count reply (the commonest reply a cache holds) takes 80.
+constexpr size_t kClassesPerOctave = 4;
+constexpr size_t kOctaves = 14;  // 64 B .. 1 MiB
+constexpr size_t kNumClasses = 1 + kOctaves * kClassesPerOctave;
 
 /// Slices carved out of one slab allocation. Bounded so the largest class
 /// still slabs (16 MiB per 1 MiB-class slab) without hoarding memory for
@@ -18,7 +23,17 @@ constexpr size_t kNumClasses = 13;
 /// class's free list runs dry.
 constexpr size_t kSlicesPerSlab = 16;
 
-size_t ClassBytes(size_t cls) { return SlabPool::kMinSliceBytes << cls; }
+/// Class 0 is kMinSliceBytes; class 1 + 4*o + q (q in 0..3) is
+/// (5 + q)/4 of the o-th octave's base kMinSliceBytes << o.
+constexpr size_t ClassBytes(size_t cls) {
+  if (cls == 0) return SlabPool::kMinSliceBytes;
+  const size_t octave = (cls - 1) / kClassesPerOctave;
+  const size_t step = (cls - 1) % kClassesPerOctave + 1;
+  const size_t quarter = (SlabPool::kMinSliceBytes / kClassesPerOctave)
+                         << octave;
+  return quarter * (kClassesPerOctave + step);
+}
+static_assert(ClassBytes(kNumClasses - 1) == SlabPool::kMaxSliceBytes);
 
 }  // namespace
 
@@ -91,9 +106,14 @@ SlabPool& SlabPool::Global() {
 }
 
 size_t SlabPool::ClassForSize(size_t n) {
-  size_t cls = 0;
-  while (ClassBytes(cls) < n) ++cls;
-  return cls;
+  if (n <= kMinSliceBytes) return 0;
+  // n lies in (2^e, 2^(e+1)]: round up to the next quarter of 2^e.
+  const size_t e = static_cast<size_t>(std::bit_width(n - 1)) - 1;
+  const size_t quarter = (size_t{1} << e) / kClassesPerOctave;
+  const size_t step = ((n - (size_t{1} << e)) + quarter - 1) / quarter;
+  const size_t octave = e - static_cast<size_t>(
+                                std::bit_width(kMinSliceBytes) - 1);
+  return 1 + octave * kClassesPerOctave + (step - 1);
 }
 
 SlabPool::Slice SlabPool::Allocate(size_t n) {
@@ -131,9 +151,12 @@ SlabPool::Slice SlabPool::Allocate(size_t n) {
       recycled = true;
     } else {
       // Carve a fresh slab into kSlicesPerSlab slices; hand out the first
-      // and chain the rest onto the free list.
+      // and chain the rest onto the free list. The slab is not zeroed, so
+      // an idle slice's payload pages stay untouched (and non-resident)
+      // until a reply is written into it.
       const size_t slice_bytes = sizeof(Slice::Control) + ClassBytes(cls);
-      auto slab = std::make_unique<uint8_t[]>(kSlicesPerSlab * slice_bytes);
+      auto slab = std::make_unique_for_overwrite<uint8_t[]>(kSlicesPerSlab *
+                                                            slice_bytes);
       uint8_t* base = slab.get();
       stripe->slabs.push_back(std::move(slab));
       for (size_t i = kSlicesPerSlab; i-- > 0;) {

@@ -25,7 +25,9 @@ namespace mds {
 /// flushing it); the bytes go back to the free list when the last handle
 /// drops.
 ///
-/// Size classes are powers of two from kMinSliceBytes to kMaxSliceBytes.
+/// Size classes run from kMinSliceBytes to kMaxSliceBytes, four per
+/// octave (64, 80, 96, 112, 128, 160, ...), so a slice is at most 25%
+/// larger than its request.
 /// Requests above kMaxSliceBytes fall back to a one-off heap allocation
 /// behind the same refcounted handle (counted in stats as oversize, never
 /// recycled). A request of zero bytes yields a null slice.
@@ -39,7 +41,7 @@ namespace mds {
 /// refcount is atomic.
 class SlabPool {
  public:
-  static constexpr size_t kMinSliceBytes = 256;
+  static constexpr size_t kMinSliceBytes = 64;
   static constexpr size_t kMaxSliceBytes = 1u << 20;  // 1 MiB
 
   /// Refcounted view of one pooled slice. Copying bumps the refcount;

@@ -7,8 +7,6 @@ namespace mds {
 
 namespace {
 
-constexpr size_t kMaxQueryDim = 16;
-
 /// Exact page span of a clustered row interval.
 double RangePages(const RowRange& range, uint32_t rows_per_page) {
   if (range.begin >= range.end) return 0.0;
@@ -39,7 +37,7 @@ Status AccessPath::Validate() const {
   if (binding_.table == nullptr) {
     return Status::InvalidArgument(std::string(name()) + ": no table bound");
   }
-  if (binding_.dim != predicate_->dim() || binding_.dim > kMaxQueryDim) {
+  if (binding_.dim != predicate_->dim() || binding_.dim > RangeScanner::kMaxDim) {
     return Status::InvalidArgument(std::string(name()) +
                                    ": dimension mismatch");
   }

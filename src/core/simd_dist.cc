@@ -50,7 +50,26 @@ void BoxScalar(const double* lo, const double* hi, const float* rows,
   }
 }
 
+void HalfspaceScalar(const double* normals, const double* offsets, size_t nh,
+                     const float* rows, size_t n, size_t dim, uint8_t* mask) {
+  for (size_t i = 0; i < n; ++i) {
+    const float* r = rows + i * dim;
+    uint8_t in = 1;
+    for (size_t h = 0; h < nh && in != 0; ++h) {
+      const double* normal = normals + h * dim;
+      double s = 0.0;
+      for (size_t j = 0; j < dim; ++j) s += normal[j] * r[j];
+      in = s <= offsets[h] ? 1 : 0;
+    }
+    mask[i] = in;
+  }
+}
+
 #if defined(MDS_SIMD_HAVE_X86)
+
+/// Widest row the vector halfspace kernels hold promoted in registers
+/// (the engine's query-dimension cap); wider rows take the scalar path.
+constexpr size_t kHalfspaceMaxDim = 16;
 
 // --- SSE2 tier (baseline on x86-64): 2 double lanes --------------------------
 //
@@ -119,6 +138,38 @@ void BoxSse2(const double* lo, const double* hi, const float* rows, size_t n,
     mask[i + 1] = static_cast<uint8_t>((bits >> 1) & 1);
   }
   if (i < n) BoxScalar(lo, hi, rows + i * dim, n - i, dim, mask + i);
+}
+
+void HalfspaceSse2(const double* normals, const double* offsets, size_t nh,
+                   const float* rows, size_t n, size_t dim, uint8_t* mask) {
+  size_t i = 0;
+  if (dim <= kHalfspaceMaxDim) {
+    for (; i + 2 <= n; i += 2) {
+      const float* r0 = rows + i * dim;
+      const float* r1 = r0 + dim;
+      // Each row's coordinates are promoted once and reused by every
+      // halfspace; per lane the sum is the scalar's promote, multiply,
+      // add sequence in dimension order.
+      __m128d x[kHalfspaceMaxDim];
+      for (size_t j = 0; j < dim; ++j) x[j] = Promote2(r0, r1, j);
+      int bits = 0x3;
+      for (size_t h = 0; h < nh && bits != 0; ++h) {
+        const double* normal = normals + h * dim;
+        __m128d s = _mm_setzero_pd();
+        for (size_t j = 0; j < dim; ++j) {
+          s = _mm_add_pd(s, _mm_mul_pd(_mm_set1_pd(normal[j]), x[j]));
+        }
+        // cmple is an ordered compare: a NaN sum fails, like `s <= offset`.
+        bits &= _mm_movemask_pd(_mm_cmple_pd(s, _mm_set1_pd(offsets[h])));
+      }
+      mask[i] = static_cast<uint8_t>(bits & 1);
+      mask[i + 1] = static_cast<uint8_t>((bits >> 1) & 1);
+    }
+  }
+  if (i < n) {
+    HalfspaceScalar(normals, offsets, nh, rows + i * dim, n - i, dim,
+                    mask + i);
+  }
 }
 
 // --- AVX2 tier: 4 double lanes, reached only after a cpuid check -------------
@@ -245,6 +296,94 @@ __attribute__((target("avx2"))) void BoxAvx2(const double* lo,
   if (i < n) BoxScalar(lo, hi, rows + i * dim, n - i, dim, mask + i);
 }
 
+/// Promotes four consecutive dim-float rows into per-dimension lanes,
+/// four dimensions at a time through the same transpose + exact
+/// cvtps_pd as Dist4Rows.
+__attribute__((target("avx2"))) inline void PromoteRows4(const float* r0,
+                                                         size_t dim,
+                                                         __m256d* x) {
+  const float* r1 = r0 + dim;
+  const float* r2 = r1 + dim;
+  const float* r3 = r2 + dim;
+  size_t j = 0;
+  for (; j + 4 <= dim; j += 4) {
+    __m128 a0 = _mm_loadu_ps(r0 + j);
+    __m128 a1 = _mm_loadu_ps(r1 + j);
+    __m128 a2 = _mm_loadu_ps(r2 + j);
+    __m128 a3 = _mm_loadu_ps(r3 + j);
+    _MM_TRANSPOSE4_PS(a0, a1, a2, a3);
+    x[j] = _mm256_cvtps_pd(a0);
+    x[j + 1] = _mm256_cvtps_pd(a1);
+    x[j + 2] = _mm256_cvtps_pd(a2);
+    x[j + 3] = _mm256_cvtps_pd(a3);
+  }
+  for (; j < dim; ++j) x[j] = Promote4(r0, r1, r2, r3, j);
+}
+
+/// Membership bits of 4*kGroups consecutive rows (bit l = row l). The
+/// rows are promoted once and every halfspace runs over them; kGroups
+/// independent lane groups are interleaved so their dependent add chains
+/// overlap. The halfspace loop stops once every lane has failed.
+template <int kGroups>
+__attribute__((target("avx2"))) inline int HalfspaceRowsAvx2(
+    const double* normals, const double* offsets, size_t nh,
+    const float* rows, size_t dim) {
+  __m256d x[kGroups][kHalfspaceMaxDim];
+  int bits[kGroups];
+  for (int g = 0; g < kGroups; ++g) {
+    PromoteRows4(rows + 4 * g * dim, dim, x[g]);
+    bits[g] = 0xF;
+  }
+  int live = 0xF;
+  for (size_t h = 0; h < nh && live != 0; ++h) {
+    const double* normal = normals + h * dim;
+    __m256d s[kGroups];
+    for (int g = 0; g < kGroups; ++g) s[g] = _mm256_setzero_pd();
+    for (size_t k = 0; k < dim; ++k) {
+      const __m256d n = _mm256_set1_pd(normal[k]);
+      // Multiply then add, never fmadd (see Dist4Rows).
+      for (int g = 0; g < kGroups; ++g) {
+        s[g] = _mm256_add_pd(s[g], _mm256_mul_pd(n, x[g][k]));
+      }
+    }
+    // LE_OQ: false on a NaN sum, exactly like the scalar `s <= offset`.
+    const __m256d offset = _mm256_set1_pd(offsets[h]);
+    live = 0;
+    for (int g = 0; g < kGroups; ++g) {
+      bits[g] &= _mm256_movemask_pd(_mm256_cmp_pd(s[g], offset, _CMP_LE_OQ));
+      live |= bits[g];
+    }
+  }
+  int out = 0;
+  for (int g = 0; g < kGroups; ++g) out |= bits[g] << (4 * g);
+  return out;
+}
+
+__attribute__((target("avx2"))) void HalfspaceAvx2(const double* normals,
+                                                   const double* offsets,
+                                                   size_t nh,
+                                                   const float* rows,
+                                                   size_t n, size_t dim,
+                                                   uint8_t* mask) {
+  size_t i = 0;
+  if (dim <= kHalfspaceMaxDim) {
+    for (; i + 8 <= n; i += 8) {
+      const int bits =
+          HalfspaceRowsAvx2<2>(normals, offsets, nh, rows + i * dim, dim);
+      for (int l = 0; l < 8; ++l) mask[i + l] = (bits >> l) & 1;
+    }
+    for (; i + 4 <= n; i += 4) {
+      const int bits =
+          HalfspaceRowsAvx2<1>(normals, offsets, nh, rows + i * dim, dim);
+      for (int l = 0; l < 4; ++l) mask[i + l] = (bits >> l) & 1;
+    }
+  }
+  if (i < n) {
+    HalfspaceScalar(normals, offsets, nh, rows + i * dim, n - i, dim,
+                    mask + i);
+  }
+}
+
 bool CpuHasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
 
 #endif  // MDS_SIMD_HAVE_X86
@@ -367,6 +506,23 @@ void BoxContainsBatch(const double* lo, const double* hi, const float* rows,
 #endif
     default:
       BoxScalar(lo, hi, rows, n, dim, mask);
+  }
+}
+
+void HalfspaceContainsBatch(const double* normals, const double* offsets,
+                            size_t num_halfspaces, const float* rows,
+                            size_t n, size_t dim, uint8_t* mask) {
+  switch (ActiveSimdTier()) {
+#if defined(MDS_SIMD_HAVE_X86)
+    case SimdTier::kAvx2:
+      HalfspaceAvx2(normals, offsets, num_halfspaces, rows, n, dim, mask);
+      return;
+    case SimdTier::kSse2:
+      HalfspaceSse2(normals, offsets, num_halfspaces, rows, n, dim, mask);
+      return;
+#endif
+    default:
+      HalfspaceScalar(normals, offsets, num_halfspaces, rows, n, dim, mask);
   }
 }
 

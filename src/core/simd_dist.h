@@ -6,22 +6,28 @@
 
 namespace mds {
 
-/// Runtime-dispatched SIMD kernels for the two per-row operations every
-/// scan hot loop reduces to: squared Euclidean distance from one probe to
-/// many clustered float rows (kd-tree leaf scans, brute-force kNN, the
-/// Voronoi walk) and axis-interval containment of many rows in one box
-/// (the partial-range filter).
+/// Runtime-dispatched SIMD kernels for the per-row operations every scan
+/// hot loop reduces to:
+///  - SquaredDistanceBatch / SquaredDistanceGather: squared Euclidean
+///    distance from one probe to many clustered float rows (kd-tree leaf
+///    scans, brute-force kNN, the Voronoi walk);
+///  - BoxContainsBatch: axis-interval containment of many rows in one box
+///    (the box predicate's partial-range filter);
+///  - HalfspaceContainsBatch: containment of many rows in an intersection
+///    of halfspaces (the polyhedron predicate's partial-range filter, the
+///    inner loop of kd-tree, Voronoi and full-scan queries).
 ///
 /// Bit-exactness contract: every kernel produces results BIT-IDENTICAL to
 /// the scalar reference (`SquaredDistance` in geom/point_set.h,
-/// `Box::Contains` in geom/box.cc) on every input, including NaN and
-/// infinity. The vector kernels achieve this by vectorizing ACROSS rows —
-/// one vector lane per row — so each lane performs exactly the scalar
-/// op sequence (promote float to double, subtract, multiply, add, in
-/// dimension order) in IEEE double with no FMA contraction and no
-/// reassociation. Callers may therefore switch tiers freely without
-/// changing any observable result: neighbor sets, tie ordering and wire
-/// bytes are invariant.
+/// `Box::Contains` in geom/box.cc, `Halfspace::Contains(const float*)` in
+/// geom/polyhedron.h) on every input, including NaN and infinity. The
+/// vector kernels achieve this by vectorizing ACROSS rows — one vector
+/// lane per row — so each lane performs exactly the scalar op sequence
+/// (promote float to double, subtract or multiply, add, in dimension
+/// order) in IEEE double with no FMA contraction and no reassociation.
+/// Callers may therefore switch tiers freely without changing any
+/// observable result: neighbor sets, tie ordering and wire bytes are
+/// invariant.
 ///
 /// Dispatch (modeled on common/crc32c.cc): the tier is detected once via
 /// cpuid, capped by environment —
@@ -68,6 +74,20 @@ void SquaredDistanceGather(const double* p, const float* points,
 /// counts as contained.
 void BoxContainsBatch(const double* lo, const double* hi, const float* rows,
                       size_t n, size_t dim, uint8_t* mask);
+
+/// mask[i] = 1 iff row i satisfies every one of `num_halfspaces`
+/// constraints normal_h . row <= offsets[h], where normal_h is the dim
+/// doubles at `normals + h*dim`: exactly Halfspace::Contains(const
+/// float*) applied in order. The dot product accumulates in double from
+/// +0.0 in dimension order (multiply, then add), so a NaN sum — from a
+/// NaN coordinate, a 0*inf product or inf-inf — fails the ordered
+/// `s <= offset` compare, as it does in the scalar. Rows are promoted
+/// once and reused by every halfspace; a lane group stops early once
+/// every lane has failed. Rows wider than 16 dimensions take the scalar
+/// path on every tier.
+void HalfspaceContainsBatch(const double* normals, const double* offsets,
+                            size_t num_halfspaces, const float* rows,
+                            size_t n, size_t dim, uint8_t* mask);
 
 }  // namespace mds
 

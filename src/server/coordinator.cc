@@ -279,53 +279,156 @@ Status Coordinator::Start() {
     }
   }
 
-  // Probe each shard: the first reachable replica (in preference order)
-  // reports the shard's row count and dimension. Probes do not touch the
-  // failure/backoff state — health is driven by request traffic.
-  QueryOptions probe;
-  probe.deadline_ms = config_.sub_deadline_ms;
-  served_rows_ = 0;
-  dim_ = 0;
   ShardBounds bounds(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard* shard = shards_[s].get();
-    Status last = Status::Unavailable("no replica probed");
-    bool probed = false;
-    for (const auto& replica : shard->replicas) {
-      auto client = QueryClient::Connect(
-          replica->addr.host, replica->addr.port, config_.connect_timeout_ms);
-      if (!client.ok()) {
-        last = client.status();
-        continue;
-      }
-      auto health = client->Health(probe);
-      if (!health.ok()) {
-        last = health.status();
-        continue;
-      }
-      shard->served_rows = health->served_rows;
-      if (dim_ == 0) {
-        dim_ = health->dim;
-      } else if (health->dim != dim_) {
-        return Status::InvalidArgument(
-            "Coordinator: shard " + std::to_string(s) + " serves dimension " +
-            std::to_string(health->dim) + ", expected " + std::to_string(dim_));
-      }
-      bounds[s] = ServedBounds(std::move(health->bounds));
-      ReleaseClient(replica.get(), std::move(*client));
-      probed = true;
-      break;
-    }
-    if (!probed) {
-      return AnnotateStatus(last, "Coordinator: shard " + std::to_string(s) +
-                                      " has no reachable replica");
-    }
-    served_rows_ += shard->served_rows;
-  }
+  MDS_RETURN_NOT_OK(ProbeShards(&bounds));
   PublishBounds(std::move(bounds));
 
   MDS_RETURN_NOT_OK(front_.Start());
   started_ = true;
+  return Status::OK();
+}
+
+Status Coordinator::ProbeShards(ShardBounds* bounds) {
+  // Every shard's first replica (in preference order) is probed at once
+  // with a non-blocking Health exchange, all driven from one poll set, so
+  // replicas that accept and never answer cost one probe deadline in
+  // total rather than one per shard. A failed or expired probe falls
+  // through to that shard's next replica. A probe is bounded like a leg
+  // (sub_deadline_ms plus leg_slack_ms, the connect timeout while the
+  // connect is pending) and does not touch the failure/backoff state —
+  // health is driven by request traffic.
+  using Clock = std::chrono::steady_clock;
+  struct Probe {
+    size_t next = 0;  // next replica to try
+    std::optional<QueryClient> conn;
+    Clock::time_point deadline;
+    Clock::time_point connect_deadline;
+    Status last = Status::Unavailable("no replica probed");
+    bool answered = false;
+  };
+  QueryOptions options;
+  options.deadline_ms = config_.sub_deadline_ms;
+  served_rows_ = 0;
+  dim_ = 0;
+  std::vector<Probe> probes(shards_.size());
+  // Starts shard s's next replica; leaves probe.conn empty once every
+  // replica has failed.
+  const auto start_next = [&](size_t s) {
+    Probe& probe = probes[s];
+    const auto& replicas = shards_[s]->replicas;
+    while (probe.next < replicas.size()) {
+      const BackendAddress& addr = replicas[probe.next++]->addr;
+      auto conn = QueryClient::Open(addr.host, addr.port);
+      if (!conn.ok()) {
+        probe.last = conn.status();
+        continue;
+      }
+      auto sent = conn->Send(MessageType::kHealth, options, {});
+      if (!sent.ok()) {
+        probe.last = sent.status();
+        continue;
+      }
+      const Clock::time_point now = Clock::now();
+      probe.deadline = now + std::chrono::milliseconds(
+                                 options.deadline_ms == 0
+                                     ? kNoDeadlineLegMs
+                                     : options.deadline_ms +
+                                           config_.leg_slack_ms);
+      probe.connect_deadline =
+          config_.connect_timeout_ms == 0
+              ? Clock::time_point::max()
+              : now + std::chrono::milliseconds(config_.connect_timeout_ms);
+      probe.conn.emplace(std::move(*conn));
+      return;
+    }
+  };
+  const auto expiry = [](const Probe& probe) {
+    return probe.conn->connecting()
+               ? std::min(probe.deadline, probe.connect_deadline)
+               : probe.deadline;
+  };
+  for (size_t s = 0; s < shards_.size(); ++s) start_next(s);
+
+  std::vector<struct pollfd> fds;
+  std::vector<size_t> polled;  // shard of each fds entry
+  for (;;) {
+    fds.clear();
+    polled.clear();
+    Clock::time_point wake = Clock::time_point::max();
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      if (!probes[s].conn) continue;
+      fds.push_back({probes[s].conn->fd(), probes[s].conn->PollEvents(), 0});
+      polled.push_back(s);
+      wake = std::min(wake, expiry(probes[s]));
+    }
+    if (fds.empty()) break;
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        std::max(wake - Clock::now(), Clock::duration::zero()));
+    const int rc = poll(fds.data(), fds.size(),
+                        static_cast<int>(std::min<int64_t>(
+                            wait.count(), std::numeric_limits<int>::max())));
+    if (rc < 0 && errno != EINTR) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const Clock::time_point now = Clock::now();
+    for (size_t i = 0; i < fds.size(); ++i) {
+      const size_t s = polled[i];
+      Probe& probe = probes[s];
+      Status st;
+      QueryClient::Reply reply;
+      if (rc > 0 && fds[i].revents != 0) {
+        st = probe.conn->Progress(fds[i].revents, &reply);
+        if (st.ok() && !reply.ready) continue;
+      } else if (expiry(probe) <= now) {
+        // As in RunLegs: a connect that never completed is a transport
+        // failure, a reply still due a timeout.
+        const bool connecting = probe.conn->connecting();
+        st = probe.conn->Expire(options);
+        if (connecting) {
+          st = Status::Unavailable("QueryClient: connect timed out");
+        }
+      } else {
+        continue;
+      }
+      protocol::HealthReply health;
+      if (st.ok()) st = reply.status;
+      if (st.ok()) {
+        WireReader r = reply.body();
+        st = protocol::DecodeHealthReply(&r, &health);
+      }
+      if (!st.ok()) {
+        probe.last = std::move(st);
+        probe.conn.reset();
+        start_next(s);
+        continue;
+      }
+      Shard* shard = shards_[s].get();
+      shard->served_rows = health.served_rows;
+      if (dim_ == 0) {
+        dim_ = health.dim;
+      } else if (health.dim != dim_) {
+        return Status::InvalidArgument(
+            "Coordinator: shard " + std::to_string(s) + " serves dimension " +
+            std::to_string(health.dim) + ", expected " + std::to_string(dim_));
+      }
+      (*bounds)[s] = std::move(health.bounds);
+      ReleaseClient(shard->replicas[probe.next - 1].get(),
+                    std::move(*probe.conn));
+      probe.conn.reset();
+      probe.answered = true;
+    }
+  }
+
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!probes[s].answered) {
+      return AnnotateStatus(probes[s].last,
+                            "Coordinator: shard " + std::to_string(s) +
+                                " has no reachable replica");
+    }
+    served_rows_ += shards_[s]->served_rows;
+  }
+  // Bounds are kept only once every shard has reported the same dim.
+  for (Box& box : *bounds) box = ServedBounds(std::move(box));
   return Status::OK();
 }
 

@@ -405,6 +405,10 @@ class Coordinator final : private WireFrontEnd::Backend {
     return reported.dim() == dim_ ? std::move(reported) : Box();
   }
 
+  /// Start()'s probe of every shard: served rows, dimension and bounds
+  /// from the first replica of each shard that answers Health.
+  Status ProbeShards(ShardBounds* bounds);
+
   /// Walk steps. StartWalk begins a primary (counted as a shard request)
   /// or hedge walk; AdvanceWalk starts the next admitted replica's attempt
   /// or ends the walk; AttemptDone takes an attempt's outcome; EndWalk

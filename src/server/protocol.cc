@@ -445,17 +445,9 @@ Status DecodeReloadReply(WireReader* r, ReloadReply* reply) {
 Status CheckFrame(const uint8_t* data, size_t size, size_t* frame_bytes) {
   *frame_bytes = kFramePrefixBytes;
   if (size < kFramePrefixBytes) return Status::OK();
-  WireReader r(data, kFramePrefixBytes);
-  const uint32_t magic = r.GetU32();
-  const uint32_t len = r.GetU32();
-  const uint32_t crc = r.GetU32();
-  if (magic != kFrameMagic) {
-    return Status::InvalidArgument("protocol: bad frame magic");
-  }
-  if (len > kMaxPayloadBytes) {
-    return Status::InvalidArgument("protocol: frame length " +
-                                   std::to_string(len) + " exceeds cap");
-  }
+  uint32_t len = 0;
+  uint32_t crc = 0;
+  MDS_RETURN_NOT_OK(CheckFramePrefix(data, &len, &crc));
   *frame_bytes += len;
   if (size < *frame_bytes) return Status::OK();
   if (Crc32c(data + kFramePrefixBytes, len) != crc) {

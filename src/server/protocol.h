@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/frame.h"
 #include "common/result.h"
 #include "common/socket.h"
 #include "geom/box.h"
@@ -38,14 +39,13 @@ namespace mds {
 /// truncated body) are not answerable — the server closes the connection.
 namespace protocol {
 
-inline constexpr uint32_t kFrameMagic = 0x3151444Du;  // "MDQ1" on the wire
+// The frame prefix constants are common/frame.h's (shared with the chaos
+// proxy); they are named here as part of the protocol.
+using ::mds::kFrameMagic;
+using ::mds::kFramePrefixBytes;
+using ::mds::kMaxPayloadBytes;
 inline constexpr uint16_t kProtocolVersion = 1;
-inline constexpr size_t kFramePrefixBytes = 12;
-/// Upper bound on a payload a peer may declare. Large enough for a
-/// multi-million-row reply, small enough that a hostile length prefix
-/// cannot make the receiver allocate unbounded memory.
-inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
-/// Query dimensionality cap (matches the engine's kMaxQueryDim).
+/// Query dimensionality cap (matches RangeScanner::kMaxDim).
 inline constexpr uint32_t kMaxDim = 16;
 
 enum class MessageType : uint16_t {

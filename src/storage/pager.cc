@@ -169,7 +169,9 @@ Status FilePager::Sync() {
 
 Result<PageId> MemPager::AllocatePage() {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  pages_.push_back(std::make_unique<Page>());
+  // Stored on first write: until then the page reads as zeros, and the
+  // buffer-pool frame BufferPool::Allocate hands out is its only copy.
+  pages_.push_back(nullptr);
   return PageId{pages_.size() - 1};
 }
 
@@ -179,7 +181,11 @@ Status MemPager::ReadPage(PageId id, Page* page) {
     return Status::OutOfRange("ReadPage(id=" + std::to_string(id) +
                               ", mem): page id out of range");
   }
-  *page = *pages_[id];
+  if (pages_[id] == nullptr) {
+    page->data.fill(0);
+  } else {
+    *page = *pages_[id];
+  }
   return Status::OK();
 }
 
@@ -191,6 +197,8 @@ Status MemPager::WritePage(PageId id, const Page& page) {
   }
   if (id == pages_.size()) {
     pages_.push_back(std::make_unique<Page>(page));
+  } else if (pages_[id] == nullptr) {
+    pages_[id] = std::make_unique<Page>(page);
   } else {
     *pages_[id] = page;
   }

@@ -137,7 +137,7 @@ class MemPager : public Pager {
 
  private:
   mutable std::shared_mutex mu_;
-  std::vector<std::unique_ptr<Page>> pages_;
+  std::vector<std::unique_ptr<Page>> pages_;  // null until first written
 };
 
 /// Seeded probabilistic fault model for FaultInjectionPager. All

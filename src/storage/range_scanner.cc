@@ -1,7 +1,11 @@
 #include "storage/range_scanner.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
+
+#include "common/logging.h"
 
 namespace mds {
 
@@ -24,20 +28,67 @@ void CoalesceRanges(std::vector<RowRange>* ranges) {
   ranges->resize(out + 1);
 }
 
+namespace {
+
+/// Copies the coordinates of `n` rows, `stride` bytes apart, into
+/// contiguous kDim-float rows. The copy width is a compile-time constant,
+/// so each row is a couple of plain moves, not a memcpy call.
+template <size_t kDim>
+void GatherCoords(const uint8_t* src, size_t stride, size_t n, float* dst) {
+  for (size_t i = 0; i < n; ++i) {
+    std::memcpy(dst + i * kDim, src + i * stride, kDim * sizeof(float));
+  }
+}
+
+/// GatherCoords<0> .. GatherCoords<kMaxDim>, indexed by dimension.
+template <size_t... kDims>
+constexpr auto GatherTable(std::index_sequence<kDims...>) {
+  return std::array{&GatherCoords<kDims>...};
+}
+
+constexpr auto kGathers =
+    GatherTable(std::make_index_sequence<RangeScanner::kMaxDim + 1>());
+
+/// Reserves `out` once for a plan step: room for every candidate row,
+/// capped by what `limit` still allows, so the scan itself never
+/// reallocates. Growth stays geometric across steps, so paths that emit
+/// many small steps (TABLESAMPLE pages, grid layers) do not copy the
+/// result once per step.
+void ReserveForStep(const PlanStep& step, uint64_t limit,
+                    std::vector<int64_t>* out) {
+  uint64_t rows = 0;
+  for (const RowRange& range : step.ranges) rows += range.end - range.begin;
+  if (limit != 0) {
+    rows = std::min<uint64_t>(rows,
+                              limit > out->size() ? limit - out->size() : 0);
+  }
+  const size_t need = out->size() + rows;
+  if (need > out->capacity()) {
+    out->reserve(std::max(need, 2 * out->capacity()));
+  }
+}
+
+}  // namespace
+
 RangeScanner::RangeScanner(const Table* table, const Layout& layout)
     : RangeScanner(table, layout, ScanOptions{}) {}
 
 RangeScanner::RangeScanner(const Table* table, const Layout& layout,
                            const ScanOptions& options)
     : table_(table), layout_(layout), options_(options) {
-  coord_batch_.resize(static_cast<size_t>(table->rows_per_page()) *
-                      layout.dim);
+  MDS_CHECK(layout.dim <= kMaxDim);
+  gather_ = kGathers[layout.dim];
+  const size_t rows_per_page = table->rows_per_page();
+  coord_batch_.resize(rows_per_page * layout.dim);
+  match_mask_.resize(rows_per_page);
+  hit_rows_.resize(rows_per_page);
 }
 
 Status RangeScanner::ScanStep(const PlanStep& step,
                               const SpatialPredicate& predicate,
                               uint64_t limit, QueryStats* stats,
                               std::vector<int64_t>* out) {
+  ReserveForStep(step, limit, out);
   for (const RowRange& range : step.ranges) {
     if (limit != 0 && out->size() >= limit) return Status::OK();
     if (range.kind == RangeKind::kFull) {
@@ -62,7 +113,6 @@ Status RangeScanner::ScanRange(const RowRange& range,
   const uint32_t objid_off = schema.offset(layout_.objid_col);
   const uint32_t coord_off = schema.offset(layout_.first_coord_col);
   const uint32_t rows_per_page = table_->rows_per_page();
-  const size_t dim = layout_.dim;
 
   uint64_t row = range.begin;
   while (row < range.end) {
@@ -88,42 +138,52 @@ Status RangeScanner::ScanRange(const RowRange& range,
     ++pages_fetched_;
     if (physical) ++pages_read_;
     const uint8_t* base = guard.page().bytes() + first_in_page * row_size;
+    // Rows TOP(limit) still admits; ScanStep and the return below keep
+    // out->size() < limit on entry to every page.
+    const uint64_t room = limit == 0 ? rows_here : limit - out->size();
 
+    // The page is handled as a whole: rows are counted, cut by the limit
+    // and emitted into the step's reservation once per page. A limit that
+    // fills part-way through stops at the row that filled it, so the
+    // counters equal a row-at-a-time scan's.
+    uint64_t consumed = 0;  // rows scanned before the limit (if any) hit
+    uint64_t take = 0;      // rows emitted from this page
+    const size_t at = out->size();
     if (range.kind == RangeKind::kFull) {
       // The BETWEEN case: every row qualifies, only the objid column is
       // decoded.
-      for (uint64_t i = 0; i < rows_here; ++i) {
-        int64_t objid;
-        std::memcpy(&objid, base + i * row_size + objid_off, sizeof(objid));
-        out->push_back(objid);
-        ++stats->rows_scanned;
-        ++stats->rows_emitted;
-        if (limit != 0 && out->size() >= limit) return Status::OK();
+      take = std::min(rows_here, room);
+      consumed = take;
+      out->resize(at + take);
+      for (uint64_t i = 0; i < take; ++i) {
+        std::memcpy(out->data() + at + i, base + i * row_size + objid_off,
+                    sizeof(int64_t));
       }
     } else {
-      // Batched page decode: gather the page's coordinate columns into one
-      // contiguous buffer, then run the predicate over the batch. The
-      // membership mask is computed page-at-a-time (SIMD for boxes); the
-      // emit loop and its counters are row-exact regardless, matching the
-      // per-row Matches path bit for bit.
-      for (uint64_t i = 0; i < rows_here; ++i) {
-        std::memcpy(&coord_batch_[i * dim], base + i * row_size + coord_off,
-                    dim * sizeof(float));
-      }
-      match_mask_.resize(rows_here);
+      // Gather the page's coordinates into one contiguous batch, filter it
+      // with the predicate's SIMD kernel, then compact the hits.
+      gather_(base + coord_off, row_size, rows_here, coord_batch_.data());
       predicate.MatchBatch(coord_batch_.data(), rows_here,
                            match_mask_.data());
+      uint64_t hits = 0;
       for (uint64_t i = 0; i < rows_here; ++i) {
-        ++stats->rows_scanned;
-        ++stats->rows_tested;
-        if (match_mask_[i] == 0) continue;
-        int64_t objid;
-        std::memcpy(&objid, base + i * row_size + objid_off, sizeof(objid));
-        out->push_back(objid);
-        ++stats->rows_emitted;
-        if (limit != 0 && out->size() >= limit) return Status::OK();
+        hit_rows_[hits] = static_cast<uint32_t>(i);
+        hits += match_mask_[i];
+      }
+      take = std::min(hits, room);
+      consumed = limit != 0 && take == room ? hit_rows_[take - 1] + 1
+                                            : rows_here;
+      stats->rows_tested += consumed;
+      out->resize(at + take);
+      for (uint64_t k = 0; k < take; ++k) {
+        std::memcpy(out->data() + at + k,
+                    base + hit_rows_[k] * row_size + objid_off,
+                    sizeof(int64_t));
       }
     }
+    stats->rows_scanned += consumed;
+    stats->rows_emitted += take;
+    if (limit != 0 && out->size() >= limit) return Status::OK();
     row += rows_here;
   }
   return Status::OK();
@@ -173,6 +233,7 @@ Status ParallelRangeScanner::ScanStep(const PlanStep& step,
   const uint64_t remaining =
       limit == 0 ? 0 : (out->size() >= limit ? 0 : limit - out->size());
   if (limit != 0 && remaining == 0) return Status::OK();
+  ReserveForStep(step, limit, out);
 
   const unsigned threads = pool_.num_threads();
   const uint32_t rows_per_page = table_->rows_per_page();

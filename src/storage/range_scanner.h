@@ -74,9 +74,12 @@ struct QueryStats {
 void CoalesceRanges(std::vector<RowRange>* ranges);
 
 /// Executes range plans against one stored point table through the buffer
-/// pool — the single physical scan loop every access path shares. Pages
-/// are pinned once each; the coordinate columns of a page's rows are
-/// decoded in one batch before predicate evaluation.
+/// pool — the single physical scan loop every access path shares. It
+/// works a page at a time: each page is pinned once, a partial range's
+/// coordinates are gathered into one batch for the predicate's SIMD
+/// kernel, and the row counters, the TOP(n) cut and the objid emission
+/// are settled once per page. The output is reserved once per plan step,
+/// so a scan never reallocates it.
 ///
 /// I/O accounting: the scanner counts its own page fetches and misses
 /// (via BufferPool::Fetch's physical-read report) rather than diffing
@@ -100,6 +103,10 @@ class RangeScanner {
     size_t dim = 0;
   };
 
+  /// Widest coordinate row a scanner decodes (the engine's query
+  /// dimensionality cap).
+  static constexpr size_t kMaxDim = 16;
+
   /// Degradation policy. Strict (default) propagates a checksum failure
   /// as kCorruption and aborts the scan; skip mode drops the corrupt
   /// page's rows, counts it in QueryStats::pages_skipped and marks the
@@ -114,7 +121,9 @@ class RangeScanner {
 
   /// Scans one plan step, appending qualifying objids to `out` and
   /// updating row counters in `stats`. `limit` (0 = none) stops the scan
-  /// exactly when `out` reaches `limit` rows — the TOP(n) clause.
+  /// exactly when `out` reaches `limit` rows — the TOP(n) clause — and
+  /// the row counters then stop at the row that filled it. `out` is
+  /// reserved up front for the step's candidate rows, capped by `limit`.
   /// Single-threaded per scanner; see class comment.
   Status ScanStep(const PlanStep& step, const SpatialPredicate& predicate,
                   uint64_t limit, QueryStats* stats,
@@ -137,8 +146,12 @@ class RangeScanner {
   ScanOptions options_;
   uint64_t pages_fetched_ = 0;  // this scanner's pins (logical fetches)
   uint64_t pages_read_ = 0;     // the subset that missed the pool
-  std::vector<float> coord_batch_;  // page-at-a-time coordinate scratch
+  // Copies n rows' coordinates, `stride` bytes apart, into contiguous
+  // float rows: the fixed-width instance for layout_.dim.
+  void (*gather_)(const uint8_t* src, size_t stride, size_t n, float* dst);
+  std::vector<float> coord_batch_;   // page-at-a-time coordinate scratch
   std::vector<uint8_t> match_mask_;  // page-at-a-time membership mask
+  std::vector<uint32_t> hit_rows_;   // in-page indices of matching rows
 };
 
 /// Data-parallel variant of RangeScanner: splits one PlanStep's row

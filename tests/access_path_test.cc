@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 
 #include "core/access_path.h"
@@ -8,6 +9,7 @@
 #include "core/query_planner.h"
 #include "sdss/catalog.h"
 #include "storage/pager.h"
+#include "storage/range_scanner.h"
 
 namespace mds {
 namespace {
@@ -273,6 +275,297 @@ TEST_F(AccessPathTest, PlannerRejectsInfeasibleOnlyPaths) {
   planner.AddPath(std::make_unique<FullScanPath>(
       BindPointTable(heap_table_, kNumBands), wrong_dim));
   EXPECT_FALSE(planner.ChooseBest().ok());
+}
+
+// --- Page-at-a-time scanner vs the row-at-a-time definitions -------------
+
+/// The row-at-a-time scan RangeScanner used to run, kept as the oracle for
+/// its results and counters: per row it decodes, calls Matches(), emits,
+/// counts and checks the limit, and it counts a page each time a range
+/// enters it. `emitted_rows` (optional) receives the row of every emitted
+/// objid.
+void ReferenceScan(const Table& table, const std::vector<RowRange>& ranges,
+                   const SpatialPredicate& predicate, uint64_t limit,
+                   QueryStats* st, std::vector<int64_t>* out,
+                   std::vector<uint64_t>* emitted_rows = nullptr) {
+  const Schema& schema = table.schema();
+  const uint32_t rows_per_page = table.rows_per_page();
+  for (const RowRange& range : ranges) {
+    if (limit != 0 && out->size() >= limit) return;
+    if (range.kind == RangeKind::kFull) {
+      ++st->ranges_full;
+    } else {
+      ++st->ranges_partial;
+    }
+    uint64_t row = range.begin;
+    while (row < range.end) {
+      const uint64_t page = row / rows_per_page;
+      const uint64_t page_end =
+          std::min<uint64_t>(range.end, (page + 1) * rows_per_page);
+      bool physical = false;
+      auto guard = table.pool()->Fetch(table.page_id(page), &physical);
+      ASSERT_TRUE(guard.ok());
+      ++st->pages_fetched;
+      if (physical) ++st->pages_read;
+      for (; row < page_end; ++row) {
+        const uint8_t* bytes = guard->page().bytes() +
+                               (row % rows_per_page) * schema.row_size();
+        ++st->rows_scanned;
+        if (range.kind == RangeKind::kPartial) {
+          ++st->rows_tested;
+          float coords[kNumBands];
+          std::memcpy(coords, bytes + schema.offset(1), sizeof(coords));
+          if (!predicate.Matches(coords)) continue;
+        }
+        int64_t objid;
+        std::memcpy(&objid, bytes + schema.offset(0), sizeof(objid));
+        out->push_back(objid);
+        if (emitted_rows != nullptr) emitted_rows->push_back(row);
+        ++st->rows_emitted;
+        if (limit != 0 && out->size() >= limit) return;
+      }
+    }
+  }
+}
+
+/// ParallelRangeScanner's documented split, over ReferenceScan: ranges
+/// counted from the whole step, page-aligned partitions scanned with the
+/// remaining limit each, outputs concatenated in partition order and cut
+/// at the limit, every worker's rows and pages summed.
+void ReferenceParallelScan(const Table& table, const PlanStep& step,
+                           const SpatialPredicate& predicate, uint64_t limit,
+                           unsigned threads, QueryStats* st,
+                           std::vector<int64_t>* out) {
+  uint64_t total_rows = 0;
+  for (const RowRange& range : step.ranges) {
+    total_rows += range.end - range.begin;
+    if (range.kind == RangeKind::kFull) {
+      ++st->ranges_full;
+    } else {
+      ++st->ranges_partial;
+    }
+  }
+  const uint64_t remaining = limit == 0 ? 0 : limit - out->size();
+  const uint32_t rows_per_page = table.rows_per_page();
+  std::vector<std::vector<RowRange>> parts(threads);
+  if (total_rows < uint64_t{2} * threads * rows_per_page) {
+    parts.assign(1, step.ranges);
+  } else {
+    const uint64_t target = (total_rows + threads - 1) / threads;
+    unsigned w = 0;
+    uint64_t quota = target;
+    for (const RowRange& range : step.ranges) {
+      for (uint64_t begin = range.begin; begin < range.end;) {
+        if (quota == 0 && w + 1 < threads) {
+          ++w;
+          quota = target;
+        }
+        uint64_t cut = range.end;
+        if (range.end - begin > quota && w + 1 < threads) {
+          cut = std::min<uint64_t>(range.end, (begin + quota + rows_per_page -
+                                               1) / rows_per_page *
+                                                  rows_per_page);
+        }
+        parts[w].push_back(RowRange{begin, cut, range.kind});
+        quota -= std::min(quota, cut - begin);
+        begin = cut;
+      }
+    }
+  }
+  for (const std::vector<RowRange>& part : parts) {
+    QueryStats local;
+    std::vector<int64_t> part_out;
+    ReferenceScan(table, part, predicate, remaining, &local, &part_out);
+    st->rows_scanned += local.rows_scanned;
+    st->rows_tested += local.rows_tested;
+    st->pages_fetched += local.pages_fetched;
+    st->pages_read += local.pages_read;
+    for (int64_t id : part_out) {
+      if (limit != 0 && out->size() >= limit) break;
+      out->push_back(id);
+      ++st->rows_emitted;
+    }
+  }
+}
+
+/// A cold view of one of the suite's tables: a fresh buffer pool over the
+/// shared pager, so pages_read counts each page's first touch and two
+/// runs over two views see the same physical I/O.
+struct ColdTable {
+  explicit ColdTable(MemPager* pager, const Table& warm)
+      : pool(pager, 1u << 12) {
+    std::vector<PageId> ids;
+    for (uint64_t p = 0; p < warm.num_pages(); ++p) {
+      ids.push_back(warm.page_id(p));
+    }
+    table = std::make_unique<Table>(
+        Table::Attach(&pool, warm.schema(), std::move(ids), warm.num_rows())
+            .MoveValue());
+  }
+  BufferPool pool;
+  std::unique_ptr<Table> table;
+};
+
+void ExpectSameStats(const QueryStats& got, const QueryStats& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.plan_steps, want.plan_steps) << what;
+  EXPECT_EQ(got.ranges_full, want.ranges_full) << what;
+  EXPECT_EQ(got.ranges_partial, want.ranges_partial) << what;
+  EXPECT_EQ(got.cells_full, want.cells_full) << what;
+  EXPECT_EQ(got.cells_partial, want.cells_partial) << what;
+  EXPECT_EQ(got.cells_pruned, want.cells_pruned) << what;
+  EXPECT_EQ(got.rows_scanned, want.rows_scanned) << what;
+  EXPECT_EQ(got.rows_tested, want.rows_tested) << what;
+  EXPECT_EQ(got.rows_emitted, want.rows_emitted) << what;
+  EXPECT_EQ(got.pages_fetched, want.pages_fetched) << what;
+  EXPECT_EQ(got.pages_read, want.pages_read) << what;
+  EXPECT_EQ(got.pages_skipped, want.pages_skipped) << what;
+  EXPECT_EQ(got.degraded, want.degraded) << what;
+}
+
+/// The first emitted row (from the middle of the sequence on) that lies in
+/// a range of `kind` and is not the last row that range scans on its page:
+/// a limit equal to its position + 1 cuts the scan part-way through a
+/// page.
+uint64_t MidPageLimit(const Table& table, const std::vector<RowRange>& ranges,
+                      const std::vector<uint64_t>& emitted_rows,
+                      RangeKind kind) {
+  const uint32_t rows_per_page = table.rows_per_page();
+  for (size_t k = emitted_rows.size() / 2; k < emitted_rows.size(); ++k) {
+    const uint64_t row = emitted_rows[k];
+    for (const RowRange& range : ranges) {
+      if (row < range.begin || row >= range.end || range.kind != kind) {
+        continue;
+      }
+      if (row + 1 < range.end && (row + 1) % rows_per_page != 0) return k + 1;
+    }
+  }
+  return 0;
+}
+
+TEST_F(AccessPathTest, PageAtATimeScanMatchesRowAtATimeDefinitions) {
+  ASSERT_TRUE(pool_->FlushAll().ok());
+  double mags[kNumBands];
+  StellarLocus(0.5, 0.0, mags);
+  const std::vector<double> center(mags, mags + kNumBands);
+  const Polyhedron poly = Polyhedron::BallApproximation(center, 1.0, 24);
+  const PolyhedronPredicate predicate(&poly);
+
+  struct Case {
+    const char* name;
+    const Table* warm;
+    bool kd;
+  };
+  const Case cases[] = {{"kd-tree", kd_table_, true},
+                        {"full-scan", heap_table_, false}};
+  for (const Case& c : cases) {
+    auto make_path = [&](const Table* table) -> std::unique_ptr<AccessPath> {
+      const PointTableBinding binding = BindPointTable(table, kNumBands);
+      if (c.kd) return std::make_unique<KdTreePath>(binding, *kd_index_, poly);
+      return std::make_unique<FullScanPath>(binding, poly);
+    };
+
+    // Unlimited, through the executors: objids in order and every counter.
+    QueryStats want;
+    std::vector<int64_t> want_ids;
+    std::vector<uint64_t> emitted_rows;
+    PlanStep step;  // both paths plan in one step
+    {
+      ColdTable cold(pager_, *c.warm);
+      auto path = make_path(cold.table.get());
+      PlanStep next;
+      while (path->NextStep(&want, &next)) {
+        ++want.plan_steps;
+        ReferenceScan(*cold.table, next.ranges, path->predicate(), 0, &want,
+                      &want_ids, &emitted_rows);
+        step = next;
+      }
+    }
+    ASSERT_EQ(want.plan_steps, 1u) << c.name;
+    ASSERT_GT(want.pages_read, 0u) << c.name;  // the cold view reads
+    uint64_t step_rows = 0;
+    for (const RowRange& range : step.ranges) {
+      step_rows += range.end - range.begin;
+    }
+    // Large enough that three workers really split the step.
+    ASSERT_GE(step_rows, 6u * c.warm->rows_per_page()) << c.name;
+    ASSERT_GT(want.rows_emitted, 0u) << c.name;
+    ASSERT_GT(want.rows_tested, 0u) << c.name;
+    if (c.kd) {
+      ASSERT_GT(want.ranges_full, 0u);
+    }
+    for (unsigned threads : {1u, 3u}) {
+      ColdTable cold(pager_, *c.warm);
+      auto path = make_path(cold.table.get());
+      QueryStats got;
+      auto result = threads == 1
+                        ? ExecuteAccessPath(path.get(), &got)
+                        : ExecuteAccessPathParallel(path.get(), threads, &got);
+      ASSERT_TRUE(result.ok());
+      const std::string what = std::string(c.name) + " unlimited threads=" +
+                               std::to_string(threads);
+      EXPECT_EQ(result->objids, want_ids) << what;
+      ExpectSameStats(got, want, what);
+    }
+
+    // Limited, one plan step straight through the scanners: a cut inside
+    // a partial page, and (kd) one inside a full page.
+    std::vector<uint64_t> limits = {
+        MidPageLimit(*c.warm, step.ranges, emitted_rows, RangeKind::kPartial)};
+    if (c.kd) {
+      limits.push_back(
+          MidPageLimit(*c.warm, step.ranges, emitted_rows, RangeKind::kFull));
+    }
+    for (uint64_t limit : limits) {
+      ASSERT_GT(limit, 0u) << c.name << ": no mid-page cut found";
+      for (unsigned threads : {1u, 3u}) {
+        const std::string what = std::string(c.name) +
+                                 " limit=" + std::to_string(limit) +
+                                 " threads=" + std::to_string(threads);
+        QueryStats ref_stats;
+        std::vector<int64_t> ref_ids;
+        {
+          ColdTable cold(pager_, *c.warm);
+          if (threads == 1) {
+            ReferenceScan(*cold.table, step.ranges, predicate, limit,
+                          &ref_stats, &ref_ids);
+          } else {
+            ReferenceParallelScan(*cold.table, step, predicate, limit,
+                                  threads, &ref_stats, &ref_ids);
+          }
+        }
+        ColdTable cold(pager_, *c.warm);
+        const RangeScanner::Layout layout{0, 1, kNumBands};
+        QueryStats got;
+        std::vector<int64_t> ids;
+        if (threads == 1) {
+          RangeScanner scanner(cold.table.get(), layout);
+          ASSERT_TRUE(scanner
+                          .ScanStep(step, predicate, limit, &got,
+                                    &ids)
+                          .ok());
+          scanner.AccumulateIo(&got);
+        } else {
+          ParallelRangeScanner scanner(cold.table.get(), layout, threads);
+          ASSERT_TRUE(scanner
+                          .ScanStep(step, predicate, limit, &got,
+                                    &ids)
+                          .ok());
+          scanner.AccumulateIo(&got);
+        }
+        ASSERT_EQ(ids.size(), limit) << what;
+        EXPECT_EQ(ids, ref_ids) << what;
+        EXPECT_EQ(ids, std::vector<int64_t>(want_ids.begin(),
+                                            want_ids.begin() + limit))
+            << what;
+        ExpectSameStats(got, ref_stats, what);
+        if (threads == 1) {
+          // The serial cut stops at the row that filled the limit.
+          EXPECT_LT(got.rows_scanned, want.rows_scanned) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(AccessPathTest, TableSamplePathHonorsTopNLimit) {

@@ -837,6 +837,50 @@ TEST_F(CoordinatorTest, HedgeFiresAgainstStalledReplicaAndWins) {
   }
 }
 
+TEST_F(CoordinatorTest, StartProbesStalledFirstReplicasConcurrently) {
+  // Every shard's first replica accepts connections (the kernel completes
+  // the handshake into a listener nobody accepts from) and never answers.
+  // Start() must wait out those probes together, falling through to each
+  // shard's second replica, not one probe deadline per shard in turn.
+  std::vector<TcpListener> stalls;
+  std::vector<std::unique_ptr<QueryServer>> backends;
+  ShardMap map;
+  for (uint32_t s = 0; s < 4; ++s) {
+    auto stall = TcpListener::Listen(0, /*backlog=*/16);
+    ASSERT_TRUE(stall.ok());
+    backends.push_back(
+        std::make_unique<QueryServer>(shard4_[s], ServerConfig{}));
+    ASSERT_TRUE(backends.back()->Start().ok());
+    map.shards.push_back({{"127.0.0.1", stall->port()},
+                          {"127.0.0.1", backends.back()->port()}});
+    stalls.push_back(std::move(*stall));
+  }
+  CoordinatorConfig config;
+  config.sub_deadline_ms = 500;
+  Coordinator coordinator(map, config);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(coordinator.Start().ok());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  // One probe deadline (500 ms + leg slack) for all four shards; probing
+  // them in turn would take four.
+  EXPECT_GE(elapsed, std::chrono::milliseconds(config.sub_deadline_ms));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(3 * config.sub_deadline_ms))
+      << "Start() waited out the stalled replicas one shard at a time";
+  EXPECT_EQ(coordinator.served_rows(), kRows);
+
+  // Close the stalled listeners so queries fail over at once (a refused
+  // connect), then check the fleet answers like one server.
+  stalls.clear();
+  QueryServer single(single_, ServerConfig{});
+  ASSERT_TRUE(single.Start().ok());
+  QueryClient via_coord = MustConnect(coordinator.port());
+  QueryClient via_single = MustConnect(single.port());
+  AssertParity(via_coord, via_single);
+  coordinator.Shutdown();
+  single.Shutdown();
+  for (auto& backend : backends) backend->Shutdown();
+}
+
 TEST_F(CoordinatorTest, SlowReplyOnNewConnectionGetsTheLegDeadline) {
   // The connect timeout bounds only the handshake: a reply slower than it
   // but inside sub_deadline_ms must succeed on a new connection as it

@@ -1,11 +1,12 @@
 // simd_dist: the vector kernels must be BIT-IDENTICAL to the scalar
 // reference on every input — that is the whole contract that lets the
 // scan loops switch tiers without changing neighbor sets, tie ordering
-// or wire bytes. These tests sweep dims 1-8, unaligned row starts,
-// NaN/infinity probes and coordinates, and exact-tie distances, and
-// compare raw double bit patterns (not values, which would let -0.0 or
-// differently-payloaded NaNs slip through) on every tier the host can
-// reach. CI re-runs them with MDS_NO_SIMD=1 and MDS_SIMD_TIER=sse2.
+// or wire bytes. These tests sweep dims 1-8 (1-17 for the halfspace
+// filter), unaligned row starts, NaN/infinity probes, coordinates,
+// normals and offsets, and exact-tie distances, and compare raw double
+// bit patterns (not values, which would let -0.0 or differently-payloaded
+// NaNs slip through) on every tier the host can reach. CI re-runs them
+// with MDS_NO_SIMD=1 and MDS_SIMD_TIER=sse2.
 
 #include "core/simd_dist.h"
 
@@ -20,6 +21,7 @@
 #include "core/knn.h"
 #include "geom/box.h"
 #include "geom/point_set.h"
+#include "geom/polyhedron.h"
 
 namespace mds {
 namespace {
@@ -270,6 +272,161 @@ TEST(SimdDist, BoxContainsBatchMatchesBoxContains) {
         }
       }
     }
+  }
+}
+
+/// Flat normal/offset arrays of `poly`, the layout HalfspaceContainsBatch
+/// takes (what PolyhedronPredicate builds at construction).
+struct FlatHalfspaces {
+  explicit FlatHalfspaces(const Polyhedron& poly) {
+    for (const Halfspace& h : poly.halfspaces()) {
+      normals.insert(normals.end(), h.normal.begin(), h.normal.end());
+      offsets.push_back(h.offset);
+    }
+  }
+  std::vector<double> normals;
+  std::vector<double> offsets;
+};
+
+/// Runs the batch kernel on every reachable tier and checks each row
+/// against the scalar Halfspace::Contains loop (Polyhedron::Contains).
+void ExpectHalfspaceParity(const Polyhedron& poly, const float* rows,
+                           size_t n, const char* what) {
+  const FlatHalfspaces flat(poly);
+  const size_t dim = poly.dim();
+  for (SimdTier tier : ReachableTiers()) {
+    TierGuard guard(tier);
+    std::vector<uint8_t> mask(n, 0xCC);
+    HalfspaceContainsBatch(flat.normals.data(), flat.offsets.data(),
+                           flat.offsets.size(), rows, n, dim, mask.data());
+    for (size_t i = 0; i < n; ++i) {
+      const uint8_t expected = poly.Contains(rows + i * dim) ? 1 : 0;
+      ASSERT_EQ(mask[i], expected)
+          << what << " tier=" << SimdTierName(tier) << " dim=" << dim
+          << " facets=" << poly.num_halfspaces() << " n=" << n << " i=" << i;
+    }
+  }
+}
+
+double RandomNormalComponent(uint64_t* state) {
+  const uint64_t r = SplitMix(state);
+  switch (r % 29) {
+    case 0:
+      return 0.0;  // 0 * inf = NaN when the coordinate is infinite
+    case 1:
+      return -0.0;
+    case 2:
+      return std::numeric_limits<double>::infinity();
+    case 3:
+      return -std::numeric_limits<double>::infinity();
+    case 4:
+      return std::numeric_limits<double>::quiet_NaN();
+    default:
+      return (static_cast<double>(r % 2001) - 1000.0) / 1000.0;
+  }
+}
+
+double RandomOffset(uint64_t* state) {
+  const uint64_t r = SplitMix(state);
+  switch (r % 31) {
+    case 0:
+      return std::numeric_limits<double>::quiet_NaN();
+    case 1:
+      return std::numeric_limits<double>::infinity();
+    case 2:
+      return -std::numeric_limits<double>::infinity();
+    default:
+      return static_cast<double>(r % 400) - 100.0;
+  }
+}
+
+TEST(SimdDist, HalfspaceBatchMatchesHalfspaceContains) {
+  uint64_t state = 7;
+  // 17: one past the widest row the vector tiers hold in registers, so
+  // their scalar fallback is checked too.
+  for (size_t dim = 1; dim <= 17; ++dim) {
+    for (size_t facets : {size_t{0}, size_t{1}, size_t{2}, size_t{5},
+                          size_t{24}}) {
+      Polyhedron poly(dim);
+      for (size_t f = 0; f < facets; ++f) {
+        std::vector<double> normal(dim);
+        for (double& v : normal) v = RandomNormalComponent(&state);
+        poly.AddHalfspace(std::move(normal), RandomOffset(&state));
+      }
+      for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                       size_t{5}, size_t{7}, size_t{9}, size_t{15},
+                       size_t{64}, size_t{257}}) {
+        // Row block starts one float past the allocation: never 16- or
+        // 32-byte aligned.
+        std::vector<float> backing(1 + n * dim);
+        for (float& v : backing) v = RandomCoord(&state);
+        ExpectHalfspaceParity(poly, backing.data() + 1, n, "random");
+      }
+    }
+  }
+}
+
+TEST(SimdDist, HalfspaceBatchSpecialSumsMatchScalarInEveryLane) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const float finf = std::numeric_limits<float>::infinity();
+  const float fnan = std::numeric_limits<float>::quiet_NaN();
+  struct Case {
+    std::vector<double> normal;
+    double offset;
+    std::vector<float> row;
+    bool inside;  // the scalar verdict, pinned
+  };
+  const Case cases[] = {
+      {{0.0, 1.0}, 10.0, {finf, 0.0f}, false},    // 0*inf = NaN sum
+      {{0.0, 1.0}, 10.0, {-finf, 0.0f}, false},   // 0*-inf = NaN sum
+      {{0.0, 1.0}, 10.0, {fnan, 0.0f}, false},    // NaN coordinate
+      {{0.0, 1.0}, 10.0, {1.0f, -finf}, true},    // -inf <= 10
+      {{1.0, -1.0}, 10.0, {finf, finf}, false},   // inf - inf = NaN
+      {{1.0, 1.0}, inf, {3.0f, 4.0f}, true},      // finite <= +inf
+      {{1.0, 1.0}, -inf, {3.0f, 4.0f}, false},
+      {{1.0, 0.0}, -inf, {-finf, 2.0f}, true},    // -inf <= -inf
+      {{1.0, 1.0}, std::nan(""), {0.0f, 0.0f}, false},  // NaN offset
+      {{std::nan(""), 1.0}, 10.0, {0.0f, 0.0f}, false}, // NaN normal
+      {{inf, 1.0}, 10.0, {0.0f, 1.0f}, false},    // inf*0 = NaN
+      {{-0.0, 1.0}, 0.0, {0.0f, -0.0f}, true},    // signed zeros: 0 <= 0
+  };
+  for (const Case& c : cases) {
+    Polyhedron poly(2);
+    poly.AddHalfspace(c.normal, c.offset);
+    ASSERT_EQ(poly.Contains(c.row.data()), c.inside)
+        << "scalar reference changed for offset " << c.offset;
+    // Put the special row in every lane of a 4-row group and in the
+    // scalar tail, among ordinary rows.
+    for (size_t lane = 0; lane < 9; ++lane) {
+      std::vector<float> rows(9 * 2, 0.5f);
+      rows[lane * 2] = c.row[0];
+      rows[lane * 2 + 1] = c.row[1];
+      ExpectHalfspaceParity(poly, rows.data(), 9, "special");
+    }
+  }
+}
+
+TEST(SimdDist, HalfspaceBatchMatchesBallApproximations) {
+  uint64_t state = 8;
+  for (size_t dim : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{8},
+                     size_t{12}, size_t{16}}) {
+    std::vector<double> center(dim);
+    for (double& v : center) v = static_cast<double>(SplitMix(&state) % 10);
+    const Polyhedron poly = Polyhedron::BallApproximation(center, 2.0, 24);
+    const size_t n = 1001;
+    std::vector<float> rows(n * dim);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      // Points within 1.25 radii of the center on every axis: a real
+      // in/out mix with many rows near the facets, even at 16 dimensions.
+      const double jitter =
+          (static_cast<double>(SplitMix(&state) % 5001) - 2500.0) / 1000.0;
+      rows[i] = static_cast<float>(center[i % dim] + jitter);
+    }
+    size_t inside = 0;
+    for (size_t i = 0; i < n; ++i) inside += poly.Contains(&rows[i * dim]);
+    EXPECT_GT(inside, 0u) << "dim=" << dim;
+    EXPECT_LT(inside, n) << "dim=" << dim;
+    ExpectHalfspaceParity(poly, rows.data(), n, "ball");
   }
 }
 

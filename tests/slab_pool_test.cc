@@ -23,16 +23,21 @@ TEST(SlabPool, ZeroByteRequestYieldsNullSlice) {
   EXPECT_EQ(pool.Stats().allocations, 0u);
 }
 
-TEST(SlabPool, RoundsUpToPowerOfTwoClasses) {
+TEST(SlabPool, RoundsUpToQuarterOctaveClasses) {
   SlabPool pool;
   struct Case {
     size_t request;
     size_t expected_capacity;
   };
   const Case cases[] = {
-      {1, 256},      {255, 256},    {256, 256},     {257, 512},
-      {512, 512},    {1000, 1024},  {4096, 4096},   {4097, 8192},
-      {65536, 65536}, {1u << 20, 1u << 20},
+      {1, 64},           {63, 64},          {64, 64},
+      {65, 80},          {77, 80},          // a count reply: 80 B, not 256
+      {81, 96},          {112, 112},        {113, 128},
+      {255, 256},        {256, 256},        {257, 320},
+      {449, 512},        {513, 640},        {1000, 1024},
+      {1025, 1280},      {4096, 4096},      {4097, 5120},
+      {8264, 10240},     {12289, 14336},    {65536, 65536},
+      {65537, 81920},    {917505, 1u << 20}, {1u << 20, 1u << 20},
   };
   for (const Case& c : cases) {
     SlabPool::Slice s = pool.Allocate(c.request);
@@ -41,6 +46,26 @@ TEST(SlabPool, RoundsUpToPowerOfTwoClasses) {
     EXPECT_EQ(s.size(), c.request);
     // The payload is writable through the handle.
     std::memset(s.data(), 0xAB, s.size());
+  }
+
+  // Every class edge exactly: 64, then (5/4, 6/4, 7/4, 8/4) of each
+  // octave base 64 << o up to 1 MiB. An edge request gets its own class,
+  // one byte more gets the next, and no slice exceeds its request by more
+  // than 25% above the minimum class.
+  std::vector<size_t> edges = {64};
+  for (size_t base = 64; base < SlabPool::kMaxSliceBytes; base *= 2) {
+    for (size_t q = 5; q <= 8; ++q) edges.push_back(base * q / 4);
+  }
+  ASSERT_EQ(edges.size(), 57u);
+  ASSERT_EQ(edges.back(), SlabPool::kMaxSliceBytes);
+  for (size_t k = 0; k < edges.size(); ++k) {
+    EXPECT_EQ(pool.Allocate(edges[k]).capacity(), edges[k]) << edges[k];
+    if (k + 1 < edges.size()) {
+      const size_t above = edges[k] + 1;
+      const size_t capacity = pool.Allocate(above).capacity();
+      EXPECT_EQ(capacity, edges[k + 1]) << above;
+      EXPECT_LT(capacity * 4, above * 5) << above;
+    }
   }
 }
 
@@ -66,9 +91,9 @@ TEST(SlabPool, SetSizeWithinCapacity) {
   SlabPool pool;
   SlabPool::Slice s = pool.Allocate(10);
   EXPECT_EQ(s.size(), 10u);
-  s.set_size(200);
-  EXPECT_EQ(s.size(), 200u);
-  EXPECT_EQ(s.capacity(), 256u);
+  s.set_size(60);
+  EXPECT_EQ(s.size(), 60u);
+  EXPECT_EQ(s.capacity(), 64u);
 }
 
 TEST(SlabPool, CopySharesBytesAndLastDropRecycles) {

@@ -63,6 +63,15 @@ TEST(MemPagerTest, Basics) {
   ASSERT_TRUE(pager.ReadPage(*id, &readback).ok());
   EXPECT_EQ(readback.ReadAt<uint64_t>(0), 0xdeadbeefULL);
   EXPECT_EQ(pager.ReadPage(99, &readback).code(), StatusCode::kOutOfRange);
+
+  // A page allocated and never written reads as zeros (over a buffer that
+  // still holds the previous read).
+  auto blank = pager.AllocatePage();
+  ASSERT_TRUE(blank.ok());
+  EXPECT_EQ(pager.NumPages(), 2u);
+  ASSERT_TRUE(pager.ReadPage(*blank, &readback).ok());
+  EXPECT_EQ(readback.ReadAt<uint64_t>(0), 0u);
+  EXPECT_EQ(readback.ReadAt<uint64_t>(kPageSize - 8), 0u);
 }
 
 TEST(FaultInjectionPagerTest, FailsAfterBudget) {
